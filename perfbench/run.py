@@ -6,10 +6,11 @@ Run from the repository root; nothing needs installing:
 
 Workloads: serve-long, serve-churn and lab (see workloads.py). A run
 builds its inputs from --seed, then repeats whole rounds of the
-workload until --seconds have passed (at least MIN_ROUNDS rounds, so
-repeated rounds can be compared byte for byte). Every round checks the
-program's outputs (checks.py). The last line of standard output is one
-JSON object: correct, attempted, failed and metrics.
+workload for --seconds, ending within half a round of it (at least
+MIN_ROUNDS rounds, so repeated rounds can be compared byte for byte).
+Every round checks the program's outputs (checks.py). The last line of
+standard output is one JSON object: correct, attempted, failed and
+metrics.
 
 --trace 0 reports the end-to-end metrics, measured with no tracing.
 --trace 1 alternates untraced and traced rounds and reports per-layer
@@ -41,9 +42,9 @@ OUT = os.path.join(ROOT, ".perfbench_out")
 WORKLOADS = ("serve-long", "serve-churn", "lab")
 # setup_s is the median of this process's set-up and these fresh ones.
 SETUP_CHILDREN = 2
-# Rounds a run makes at least, however short --seconds is, so that every
-# figure averages samples taken at several points in time.
-MIN_ROUNDS = 3
+# Rounds a run makes at least, however short --seconds is, so that
+# repeated rounds of one seed can be compared byte for byte.
+MIN_ROUNDS = 2
 
 
 def calibrate() -> float:
@@ -155,14 +156,22 @@ def main(argv=None) -> int:
         return {phase: total - before.get(phase, 0.0) for phase, total in rec.phase_s.items()}
 
     begin = perf_counter()
+
+    def more(least: int) -> bool:
+        """Whether to start another round: one that would end further past
+        --seconds than it starts before it is not started, so a run ends
+        within half a round of --seconds."""
+        elapsed = perf_counter() - begin
+        return rounds < least or elapsed + elapsed / (2 * rounds) < args.seconds
+
     if not args.trace:
-        while rounds < MIN_ROUNDS or perf_counter() - begin < args.seconds:
+        while more(MIN_ROUNDS):
             one_round(False)
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     else:
         calib, overhead, per_round = [], [], []
         kept = None  # end of the first traced round's spans, kept for the trace file
-        while rounds < 2 or perf_counter() - begin < args.seconds:
+        while more(2):
             calib.append(calibrate())
             plain = one_round(False)
             calib.append(calibrate())
@@ -180,7 +189,7 @@ def main(argv=None) -> int:
 
     if not args.trace:
         metrics = {"setup_s": (statistics.median([setup_s] + fresh_setups(args)), "s")}
-        metrics.update(workloads.end_to_end(rec))
+        metrics.update(workloads.end_to_end(rec, workload))
         metrics["peak_rss_mb"] = (peak_rss_mb, "MB")
     else:
         layers = {name: statistics.fmean(r[name] for r in per_round) for name in per_round[0]}

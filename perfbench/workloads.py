@@ -223,12 +223,17 @@ class Certify:
     def run(self, rec: Recorder, seed: int) -> str:
         """Certify one sample and one client deletion, ``repeats`` times."""
         outputs = set()
+        # One collection for the garbage of the phases before, then a loop
+        # of short calls that a collection each would swamp.
+        gc.collect()
         for _ in range(self.repeats):
             total = 0.0
             for kind in ("sample", "client"):
                 out = io.StringIO()
                 with redirect_stdout(out):
-                    code, seconds = rec.timed("certify", cli_main, self.argv(kind, seed))
+                    code, seconds = rec.timed(
+                        "certify", cli_main, self.argv(kind, seed), settle=False
+                    )
                 total += seconds
                 text = out.getvalue()
                 check_certified(code, text, kind)
@@ -274,7 +279,7 @@ class ServeShape:
     clients_per_round: int
     requests: int
     churn: bool  # False: ten recomputed iterations a request; True: churn mix
-    trainings: int  # per round; the last one's store serves the stream
+    trainings: int  # at each of the round's three training points
 
 
 SHAPES = {
@@ -285,11 +290,12 @@ SHAPES = {
         clients=20, points=2000, horizon=10_000, clients_per_round=2, requests=12,
         churn=False, trainings=1,
     ),
-    # Three short trainings a round spread the training samples over more
-    # of the run, which the host's speed changes make necessary.
+    # Its trainings are short, so two at each point keep their share of
+    # the run, and with it the spread of the training figure, near
+    # serve-long's.
     "serve-churn": ServeShape(
         clients=20, points=50, horizon=1_500, clients_per_round=4, requests=12,
-        churn=True, trainings=3,
+        churn=True, trainings=2,
     ),
 }
 
@@ -300,6 +306,7 @@ class Serve:
     local_steps = 5
     batch_size = 4
     dim = 8
+    ckpt_average = staticmethod(statistics.fmean)
 
     def __init__(self, name: str, seed: int, out_dir: str) -> None:
         shape = SHAPES[name]
@@ -350,18 +357,36 @@ class Serve:
         t, uid = min((t, uid) for uid, (t, c) in first.items() if c == cid)
         return UnlearnRequest("sample", cid, uid, steps), t
 
+    def train(self, rec: Recorder) -> tuple[HistoryStore, tuple, str]:
+        """One timed training over the full horizon: its store, history
+        and fingerprint."""
+        store = HistoryStore(FULL_HISTORY, self.local_steps)
+        _, seconds = rec.timed("train", run_fats, 1, self.hyper, self.dataset, store, self.loss)
+        rec.add("train_s", seconds)
+        rec.add("train_iters", self.hyper.total_steps)
+        history = store.history_tuple()
+        return store, history, fingerprint(history, store.latest_global_model().tobytes())
+
+    def retrain(self, rec: Recorder, trained: str, times: int) -> None:
+        """More trainings of the same seed, which must match the first."""
+        for _ in range(times):
+            _, _, again = self.train(rec)
+            require(again == trained, "two trainings of one seed differ")
+
     def round(self, rec: Recorder, first_round: bool) -> str:
+        """Train, serve the stream, round-trip a checkpoint, and run the
+        Monte-Carlo test and certification.
+
+        The round trains at three points, serves the stream in two
+        halves, and runs the Monte-Carlo test, certification and the
+        checkpoint round trip twice, each between other phases, so that
+        every figure's samples spread over the run: the host's speed
+        changes for stretches of seconds to minutes, and a figure taken
+        in one stretch of the run follows that stretch's speed."""
         hyper, loss = self.hyper, self.loss
-        trainings = set()
-        for _ in range(self.shape.trainings):
-            store = HistoryStore(FULL_HISTORY, self.local_steps)
-            _, seconds = rec.timed("train", run_fats, 1, hyper, self.dataset, store, loss)
-            rec.add("train_s", seconds)
-            rec.add("train_iters", hyper.total_steps)
-            history = store.history_tuple()
-            trainings.add(fingerprint(history, store.latest_global_model().tobytes()))
-        require(len(trainings) == 1, "two trainings of one seed differ")
-        (trained,) = trainings
+        trainings = self.shape.trainings
+        store, history, trained = self.train(rec)
+        self.retrain(rec, trained, trainings - 1)
         if rec.tracer is not None:
             rec.counters["store.words"] = store.storage_word_count()
 
@@ -369,55 +394,73 @@ class Serve:
         table = {cid: dict(points) for cid, points in self.table.items()}
         rng = np.random.default_rng([self.seed, 1])
         recomputed = 0
-        for index in range(self.shape.requests):
-            request, restart = self.next_request(index, history, dataset, rng, recomputed)
-            (outcomes, dataset), seconds = rec.timed(
-                "stream", process_stream, [request], store, dataset, hyper, loss, request=index
-            )
-            outcome = outcomes[0]
-            rec.add("delete_s", seconds)
-            rec.add("recomputed", outcome.retrained_iterations)
-            recomputed += outcome.retrained_iterations
-            rec.count("unlearn.requests")
-            rec.count("unlearn.probes", outcome.probes)
-            if outcome.action != "partial_retrain":
-                rec.failed += 1
-                continue
-            require(outcome.from_iteration == restart,
-                    f"request {index} restarted at {outcome.from_iteration}, not {restart}")
-            after = store.history_tuple()
-            cid = request.target_client
-            if request.kind == "sample":
-                check_sample_deletion(history, after, request.target_uid)
-                require(not dataset.client(cid).has_uid(request.target_uid),
-                        "deleted point is still in the reduced dataset")
-                del table[cid][request.target_uid]
-            else:
-                check_client_deletion(history, after, cid)
-                require(not dataset.has_client(cid), "deleted client is still in the dataset")
-                del table[cid]
-            history = after
+
+        def serve(indices) -> None:
+            nonlocal dataset, history, recomputed
+            for index in indices:
+                request, restart = self.next_request(index, history, dataset, rng, recomputed)
+                (outcomes, dataset), seconds = rec.timed(
+                    "stream", process_stream, [request], store, dataset, hyper, loss,
+                    request=index,
+                )
+                outcome = outcomes[0]
+                rec.add("delete_s", seconds)
+                rec.add("recomputed", outcome.retrained_iterations)
+                recomputed += outcome.retrained_iterations
+                rec.count("unlearn.requests")
+                rec.count("unlearn.probes", outcome.probes)
+                if outcome.action != "partial_retrain":
+                    rec.failed += 1
+                    continue
+                require(outcome.from_iteration == restart,
+                        f"request {index} restarted at {outcome.from_iteration}, not {restart}")
+                after = store.history_tuple()
+                cid = request.target_client
+                if request.kind == "sample":
+                    check_sample_deletion(history, after, request.target_uid)
+                    require(not dataset.client(cid).has_uid(request.target_uid),
+                            "deleted point is still in the reduced dataset")
+                    del table[cid][request.target_uid]
+                else:
+                    check_client_deletion(history, after, cid)
+                    require(not dataset.has_client(cid), "deleted client is still in the dataset")
+                    del table[cid]
+                history = after
+
+        def lab_phases() -> tuple:
+            statistics_ = self.micro.equivalence(rec, self.seed, SERVE_MC_TRIALS, SERVE_MC_TRIALS)
+            return statistics_, SERVE_CERTIFY.run(rec, self.seed)
+
+        half = self.shape.requests // 2
+        serve(range(half))
+        lab = lab_phases()
+        self.retrain(rec, trained, trainings)
+        serve(range(half, self.shape.requests))
         final = store.latest_global_model()
         if first_round:
             check_replay(final, history, table, loss_name="logistic", dim=self.dim,
                          lr=hyper.lr, local_steps=self.local_steps)
-
-        _, seconds = rec.timed("ckpt_save", save_checkpoint, store, hyper, dataset, self.path)
-        rec.add("save_s", seconds)
-        with open(self.path, "rb") as handle:
-            saved = handle.read()
-        rec.add("ckpt_bytes", len(saved))
-        (loaded, loaded_hyper), seconds = rec.timed("ckpt_load", load_checkpoint, self.path, dataset)
-        rec.add("load_s", seconds)
-        require(loaded_hyper == hyper, "hyper-parameters changed in the round trip")
-        check_roundtrip(store, loaded, hyper.rounds)
-        del loaded
-
-        statistics_ = self.micro.equivalence(rec, self.seed, SERVE_MC_TRIALS, SERVE_MC_TRIALS)
-        verified = SERVE_CERTIFY.run(rec, self.seed)
-        if first_round:
             SERVE_CERTIFY.check_nonvacuous(self.seed)
-        return fingerprint(trained, history, final.tobytes(), saved, statistics_, verified)
+
+        def checkpoint() -> bytes:
+            _, seconds = rec.timed("ckpt_save", save_checkpoint, store, hyper, dataset, self.path)
+            rec.add("save_s", seconds)
+            with open(self.path, "rb") as handle:
+                saved = handle.read()
+            rec.add("ckpt_bytes", len(saved))
+            (loaded, loaded_hyper), seconds = rec.timed(
+                "ckpt_load", load_checkpoint, self.path, dataset
+            )
+            rec.add("load_s", seconds)
+            require(loaded_hyper == hyper, "hyper-parameters changed in the round trip")
+            check_roundtrip(store, loaded, hyper.rounds)
+            return saved
+
+        saved = checkpoint()
+        self.retrain(rec, trained, trainings)
+        require(lab_phases() == lab, "the Monte-Carlo test or certification changed on a rerun")
+        require(checkpoint() == saved, "two saves of one store differ")
+        return fingerprint(trained, history, final.tobytes(), saved, lab)
 
 
 LAB_TRIALS = 10_000
@@ -434,6 +477,8 @@ LAB_CERTIFY = Certify(clients=2, points=3, total_steps=4, repeats=2)
 class Lab:
     """Monte-Carlo equivalence and exact certification on micro set-ups,
     and the checkpoint round trip of the micro set-up at T=2,000."""
+
+    ckpt_average = staticmethod(statistics.median)
 
     def __init__(self, name: str, seed: int, out_dir: str) -> None:
         self.seed = seed
@@ -490,24 +535,26 @@ class Lab:
 WORKLOADS = {"serve-long": Serve, "serve-churn": Serve, "lab": Lab}
 
 
-def end_to_end(rec: Recorder) -> dict[str, tuple[float, str]]:
+def end_to_end(rec: Recorder, workload) -> dict[str, tuple[float, str]]:
     """End-to-end metrics from every sample of a run.
 
-    Deletion latency and the checkpoint timings are medians: a save or a
-    load now and then waits milliseconds on the file system, which a mean
-    would carry. The compute-only timings are means (a total over a total
-    for rates): the 2-vCPU host they were tuned on switches between two
-    speeds about 1.45x apart every few seconds, and a median of a few
-    samples lands in whichever speed held most of them, while a mean moves
-    only with the share of time spent at each.
+    Deletion latency is the median its name says. The other timings are
+    means (a total over a total for rates): the 2-vCPU host they were
+    tuned on switches between speeds up to 1.45x apart, for stretches of
+    seconds to tens of seconds, and a median of a few samples lands in
+    whichever speed held most of them, while a mean moves only with the
+    share of time spent at each. Lab's checkpoint timings stay medians:
+    its saves take milliseconds, and a file-system stall of a few
+    milliseconds would move a mean.
     """
     s = rec.samples
+    ckpt = workload.ckpt_average
     return {
         "train_iters_per_s": (sum(s["train_iters"]) / sum(s["train_s"]), "1/s"),
         "delete_s_p50": (statistics.median(s["delete_s"]), "s"),
         "recompute_iters_per_s": (sum(s["recomputed"]) / sum(s["delete_s"]), "1/s"),
-        "ckpt_save_s": (statistics.median(s["save_s"]), "s"),
-        "ckpt_load_s": (statistics.median(s["load_s"]), "s"),
+        "ckpt_save_s": (ckpt(s["save_s"]), "s"),
+        "ckpt_load_s": (ckpt(s["load_s"]), "s"),
         "ckpt_bytes": (statistics.median(s["ckpt_bytes"]), "bytes"),
         "mc_pipelines_per_s": (sum(s["mc_pipelines"]) / sum(s["mc_s"]), "1/s"),
         "certify_s": (statistics.fmean(s["certify_s"]), "s"),
