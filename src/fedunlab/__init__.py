@@ -40,7 +40,6 @@ from .errors import (
     InvalidArgumentError,
     ModeMismatchError,
     NotFoundError,
-    StaleRequestError,
     TooLargeToEnumerateError,
 )
 from .losses import (
@@ -66,14 +65,7 @@ from .stability import (
     unlearned_history_distribution,
 )
 from .store import HistoryStore, IterationRecord, load_checkpoint, save_checkpoint
-from .unlearn import (
-    UnlearnOutcome,
-    full_retrain_unlearn,
-    parse_request_line,
-    process_stream,
-    unlearn_client,
-    unlearn_sample,
-)
+from .unlearn import UnlearnOutcome, parse_request_line, process_stream, unlearn_request
 
 __version__ = "0.1.0"
 
@@ -105,7 +97,6 @@ __all__ = [
     "QuadraticLoss",
     "ReplayPlan",
     "SamplingSizes",
-    "StaleRequestError",
     "TooLargeToEnumerateError",
     "UnlearnOutcome",
     "UnlearnRequest",
@@ -119,7 +110,6 @@ __all__ = [
     "estimate_grad_bound",
     "estimate_smoothness",
     "export_dataset",
-    "full_retrain_unlearn",
     "generate_synthetic",
     "gradient_diversity",
     "import_dataset",
@@ -137,7 +127,6 @@ __all__ = [
     "stability_curvature_ratio",
     "suggest_learning_rate",
     "tv_distance",
-    "unlearn_client",
-    "unlearn_sample",
+    "unlearn_request",
     "unlearned_history_distribution",
 ]

@@ -73,6 +73,7 @@ OUTCOME_FIELDS = [
     "probes",
     "rho_sample_realized",
     "rho_client_realized",
+    "beyond_issue_step",
     "wall_time_s",
 ]
 
@@ -413,7 +414,7 @@ def write_run_files(result: RunResult, run_dir: str) -> None:
                 "-" if outcome.from_iteration is None else outcome.from_iteration,
                 outcome.retrained_iterations, outcome.probes,
                 repr(outcome.rho_sample_realized), repr(outcome.rho_client_realized),
-                f"{outcome.wall_time_s:.6f}",
+                int(outcome.beyond_issue_step), f"{outcome.wall_time_s:.6f}",
             ])
     with open(os.path.join(run_dir, "timings.csv"), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

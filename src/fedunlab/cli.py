@@ -3,7 +3,9 @@
 Subcommands:
   gen-data   write a synthetic federated dataset to a text file
   train      train from a dataset and write a checkpoint
-  unlearn    service one deletion request against a checkpoint
+  unlearn    service one deletion request against a checkpoint; the
+             store mode recorded in the checkpoint picks partial
+             re-computation (full_history) or retraining (compact)
   stream     service a file of deletion requests in order
   verify     exact distributional-equivalence check on a small setup
   bench      run an experiment config end to end
@@ -44,14 +46,7 @@ from .stability import (
     unlearned_history_distribution,
 )
 from .store import HistoryStore, load_checkpoint, save_checkpoint
-from .unlearn import (
-    UnlearnOutcome,
-    full_retrain_unlearn,
-    parse_request_line,
-    process_stream,
-    unlearn_client,
-    unlearn_sample,
-)
+from .unlearn import REJECTED, UnlearnOutcome, parse_request_line, process_stream, unlearn_request
 
 
 def _read_dataset(path: str):
@@ -136,13 +131,15 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
         target_uid=args.uid,
         issue_step=hyper.total_steps if args.issue_step is None else args.issue_step,
     )
-    if args.full_retrain:
-        outcome, reduced = full_retrain_unlearn(request, store, dataset, hyper, loss)
-    elif request.kind == "sample":
-        outcome, reduced = unlearn_sample(request, store, dataset, hyper, loss)
-    else:
-        outcome, reduced = unlearn_client(request, store, dataset, hyper, loss)
+    outcome, reduced = unlearn_request(request, store, dataset, hyper, loss)
     _print_outcome(outcome)
+    if outcome.action == REJECTED:
+        print(
+            f"error: the reduced data cannot supply batches of {hyper.batch_size}; "
+            "store and dataset left unchanged",
+            file=sys.stderr,
+        )
+        return 1
     if args.out:
         save_checkpoint(store, hyper, reduced, args.out)
         print(f"updated checkpoint at {args.out}")
@@ -295,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--client", type=int, required=True)
     p.add_argument("--uid", type=int, default=None)
     p.add_argument("--issue-step", type=int, default=None)
-    p.add_argument("--full-retrain", action="store_true",
-                   help="retrain from scratch instead of resuming mid-history")
     p.add_argument("--out", default=None, help="write the updated checkpoint here")
     p.add_argument("--data-out", default=None, help="write the reduced dataset here")
     p.set_defaults(func=cmd_unlearn)

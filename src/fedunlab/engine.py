@@ -95,15 +95,6 @@ def aggregate(
     return acc / len(multiset)
 
 
-def virtual_average(
-    local_models: dict[int, np.ndarray], multiset: tuple[int, ...]
-) -> np.ndarray:
-    """The would-be aggregate at an arbitrary iteration; coincides with
-    the global model at round boundaries."""
-    return aggregate(local_models, multiset)
-
-
-IterationHook = Callable[[int, np.ndarray], None]
 RoundHook = Callable[[int, int, np.ndarray], None]
 
 
@@ -115,7 +106,6 @@ def run_fats(
     loss: LossModel,
     theta0: np.ndarray | None = None,
     replay: ReplayPlan | None = None,
-    iteration_hook: IterationHook | None = None,
     round_hook: RoundHook | None = None,
 ) -> np.ndarray:
     """Execute iterations start_iteration..total_steps and return the
@@ -234,8 +224,6 @@ def run_fats(
             )
             locals_[client_id] = local_step(locals_[client_id], grad, lr)
             store.record_iteration(t, client_id, batch, locals_[client_id])
-        if iteration_hook is not None:
-            iteration_hook(t, virtual_average(locals_, multiset))
         if t % steps == 0:
             theta_global = aggregate(locals_, multiset)
             store.record_global(round_index, theta_global)

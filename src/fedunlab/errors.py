@@ -25,10 +25,6 @@ class NotFoundError(FedUnlabError):
     """A referenced client or sample uid does not exist."""
 
 
-class StaleRequestError(NotFoundError):
-    """A deletion request references a target that was already removed."""
-
-
 class EmptyFederationError(FedUnlabError):
     """An operation would leave the federation with zero clients."""
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ClientDataset, DataPoint, FederatedDataset
+from .data import ClientDataset, FederatedDataset
 from .errors import DivergedDiversityError, InvalidArgumentError
 from .streams import DOMAIN_PROBE, substream
 
@@ -32,16 +32,10 @@ class LossModel:
         raise NotImplementedError
 
     def mean_loss(self, theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-        total = 0.0
-        for row, label in zip(features, labels):
-            total += self.point_loss(theta, row, float(label))
-        return total / len(labels)
+        raise NotImplementedError
 
     def mean_grad(self, theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.dim)
-        for row, label in zip(features, labels):
-            acc += self.point_grad(theta, row, float(label))
-        return acc / len(labels)
+        raise NotImplementedError
 
 
 @dataclass
@@ -116,15 +110,6 @@ def make_loss(name: str, dim: int) -> LossModel:
     if name == "logistic":
         return LogisticLoss(dim=dim)
     raise InvalidArgumentError(f"unknown loss {name!r}")
-
-
-def minibatch_grad(loss: LossModel, theta: np.ndarray, batch: Sequence[DataPoint]) -> np.ndarray:
-    """Average gradient over an explicit batch of points."""
-    if not batch:
-        raise InvalidArgumentError("empty batch")
-    features = np.stack([p.features for p in batch])
-    labels = np.array([p.label for p in batch])
-    return loss.mean_grad(theta, features, labels)
 
 
 def full_local_grad(loss: LossModel, theta: np.ndarray, client: ClientDataset) -> np.ndarray:

@@ -3,13 +3,13 @@
 full_history mode records, per iteration and selected client, the drawn
 mini-batch uids and the post-step local model, plus per-round client
 multisets and aggregated models. That is what partial re-computation
-replays. compact mode keeps only involvement flags (which samples and
-clients ever participated), the earliest-use indices, and the latest
-model; it supports O(1) verification paired with full retraining only.
+replays. compact mode keeps only the initial and the latest model and
+the client index below; its deletions retrain from iteration 1.
 
-Both modes maintain two dictionaries that make deletion verification a
-single probe: uid -> earliest iteration whose recorded batch contained
-the uid, and client -> earliest round in which the client was selected.
+Two dictionaries make deletion verification a single probe: client ->
+earliest round in which the client was selected (both modes), and, in
+full_history mode, uid -> earliest iteration whose recorded batch
+contained the uid.
 """
 
 from __future__ import annotations
@@ -65,11 +65,9 @@ class HistoryStore:
         self._iterations: dict[tuple[int, int], IterationRecord] = {}
         self._global_models: dict[int, np.ndarray] = {}
         # compact payload
-        self._sample_flags: dict[int, set[int]] = {}
-        self._client_flags: set[int] = set()
         self._latest_model: np.ndarray | None = None
         self._latest_round = 0
-        # shared indices
+        # indices; _earliest_use is kept in full_history mode only
         self._earliest_use: dict[int, int] = {}
         self._earliest_round: dict[int, int] = {}
         self._client_last_iter: dict[int, int] = {}
@@ -102,8 +100,6 @@ class HistoryStore:
             prev = self._earliest_round.get(client_id)
             if prev is None or round_index < prev:
                 self._earliest_round[client_id] = round_index
-            if self.mode == COMPACT:
-                self._client_flags.add(client_id)
 
     def record_iteration(
         self,
@@ -125,12 +121,10 @@ class HistoryStore:
             self._iterations[(iteration, client_id)] = IterationRecord(
                 batch_uids=tuple(batch_uids), local_model=model
             )
-        else:
-            self._sample_flags.setdefault(client_id, set()).update(batch_uids)
-        for uid in batch_uids:
-            prev = self._earliest_use.get(uid)
-            if prev is None or iteration < prev:
-                self._earliest_use[uid] = iteration
+            for uid in batch_uids:
+                prev = self._earliest_use.get(uid)
+                if prev is None or iteration < prev:
+                    self._earliest_use[uid] = iteration
         if iteration >= self.next_iteration:
             self.next_iteration = iteration + 1
 
@@ -186,12 +180,12 @@ class HistoryStore:
     # ------------------------------------------------------------------
     # O(1) verification probes
 
-    def earliest_sample_use(
-        self, uid: int, client_id: int | None = None, through: int | None = None
-    ) -> int | None:
+    def earliest_sample_use(self, uid: int, through: int | None = None) -> int | None:
         """Earliest recorded iteration whose batch contained uid, or None.
         With through set, uses after that iteration are invisible.
-        Exactly one index probe."""
+        Exactly one index probe. Needs full_history mode."""
+        if self.mode != FULL_HISTORY:
+            raise ModeMismatchError("sample uses are not kept in compact mode")
         self.probes += 1
         found = self._earliest_use.get(uid)
         if found is None:
@@ -211,19 +205,6 @@ class HistoryStore:
         if through is not None and round_index > self.round_of(through):
             return None
         return self.round_start_iteration(round_index)
-
-    def sample_involved(self, client_id: int, uid: int) -> bool:
-        """Compact-mode involvement flag (one probe)."""
-        self.probes += 1
-        if self.mode == COMPACT:
-            return uid in self._sample_flags.get(client_id, ())
-        return self._earliest_use.get(uid) is not None
-
-    def client_involved(self, client_id: int) -> bool:
-        self.probes += 1
-        if self.mode == COMPACT:
-            return client_id in self._client_flags
-        return client_id in self._earliest_round
 
     # ------------------------------------------------------------------
     # pruning
@@ -259,11 +240,8 @@ class HistoryStore:
                     "compact mode cannot prune mid-history; only a full reset "
                     "(iteration 1) is supported"
                 )
-            self._sample_flags.clear()
-            self._client_flags.clear()
             self._latest_model = None
             self._latest_round = 0
-            self._earliest_use.clear()
             self._earliest_round.clear()
             self._client_last_iter.clear()
             self.next_iteration = 1
@@ -327,9 +305,7 @@ class HistoryStore:
             for model in self._global_models.values():
                 words += model.size
             return words
-        words = sum(len(flags) for flags in self._sample_flags.values())
-        words += len(self._client_flags)
-        words += len(self._earliest_use) + len(self._earliest_round)
+        words = len(self._earliest_round)
         for model in (self._latest_model, self._global_models.get(0)):
             if model is not None:
                 words += model.size
@@ -344,8 +320,6 @@ class HistoryStore:
             or self.epoch != other.epoch
             or self.next_iteration != other.next_iteration
             or self._round_multisets != other._round_multisets
-            or self._sample_flags != other._sample_flags
-            or self._client_flags != other._client_flags
             or self._earliest_use != other._earliest_use
             or self._earliest_round != other._earliest_round
             or self._latest_round != other._latest_round
@@ -381,8 +355,6 @@ class HistoryStore:
             for key, rec in self._iterations.items()
         }
         clone._global_models = {k: v.copy() for k, v in self._global_models.items()}
-        clone._sample_flags = {k: set(v) for k, v in self._sample_flags.items()}
-        clone._client_flags = set(self._client_flags)
         clone._latest_model = None if self._latest_model is None else self._latest_model.copy()
         clone._latest_round = self._latest_round
         clone._earliest_use = dict(self._earliest_use)
@@ -422,13 +394,6 @@ def save_checkpoint(
                 f"{_fmt_vec(rec.local_model)}"
             )
     else:
-        for client_id in sorted(store._sample_flags):
-            flags = ",".join(map(str, sorted(store._sample_flags[client_id])))
-            lines.append(f"sflags {client_id} {flags}")
-        if store._client_flags:
-            lines.append(f"cflags {','.join(map(str, sorted(store._client_flags)))}")
-        for uid in sorted(store._earliest_use):
-            lines.append(f"euse {uid} {store._earliest_use[uid]}")
         for client_id in sorted(store._earliest_round):
             lines.append(f"eround {client_id} {store._earliest_round[client_id]}")
         init = store._global_models.get(0)
@@ -488,14 +453,8 @@ def load_checkpoint(
                 store._iterations[(t, client_id)] = IterationRecord(
                     batch_uids=batch, local_model=_parse_vec(parts[4])
                 )
-            elif parts[0] == "sflags":
-                store._sample_flags[int(parts[1])] = {
-                    int(x) for x in parts[2].split(",") if x
-                }
-            elif parts[0] == "cflags":
-                store._client_flags = {int(x) for x in parts[1].split(",") if x}
-            elif parts[0] == "euse":
-                store._earliest_use[int(parts[1])] = int(parts[2])
+            elif parts[0] in ("sflags", "cflags", "euse"):
+                pass  # compact records of older checkpoints; no longer used
             elif parts[0] == "eround":
                 store._earliest_round[int(parts[1])] = int(parts[2])
             elif parts[0] == "latest":

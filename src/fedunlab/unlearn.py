@@ -1,5 +1,8 @@
 """Deletion handling: O(1) verification plus partial re-computation.
 
+`unlearn_request` is the one entry point for both request kinds and
+both store modes; the action follows from the store's mode.
+
 Sample deletion verifies involvement with one index probe. If the
 sample never appeared in a recorded batch the request is a no-op and
 the current model is already indistinguishable from one trained without
@@ -20,6 +23,17 @@ every multiset is redrawn over the remaining clients (conditioning a
 with-replacement draw on avoiding one client is exactly the uniform
 draw over the others, so the retained prefix needs no surgery) and all
 batches in re-run rounds are fresh.
+
+A compact store keeps no batches, so it cannot replay a prefix. A
+compact sample deletion always retrains from iteration 1 under a fresh
+epoch: keeping the model when the point was unused would keep a history
+conditioned on non-involvement. A compact client deletion retrains from
+iteration 1 iff the client was ever selected, which is exact by the
+argument above.
+
+A deletion whose reduced federation cannot supply a batch of
+batch_size points wherever the re-run could draw one is rejected before
+anything is changed, so the store and the dataset stay as they were.
 """
 
 from __future__ import annotations
@@ -38,13 +52,7 @@ from .data import (
     remove_sample,
 )
 from .engine import ReplayPlan, run_fats
-from .errors import (
-    EmptyFederationError,
-    InvalidArgumentError,
-    ModeMismatchError,
-    NotFoundError,
-    StaleRequestError,
-)
+from .errors import InvalidArgumentError, NotFoundError
 from .losses import LossModel
 from .store import HistoryStore
 
@@ -52,6 +60,7 @@ NOOP = "noop"
 PARTIAL_RETRAIN = "partial_retrain"
 FULL_RETRAIN = "full_retrain"
 STALE = "stale"
+REJECTED = "rejected"
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,7 @@ class UnlearnOutcome:
     rho_sample_realized: float
     rho_client_realized: float
     probes: int
-    beyond_issue_step: bool = False  # first use was after issue_step
+    beyond_issue_step: bool = False  # re-computation starts after issue_step
 
     def log_line(self) -> str:
         req = self.request
@@ -80,15 +89,23 @@ class UnlearnOutcome:
         )
 
 
-def _realized_budgets(
-    hyper: HyperParams, dataset: FederatedDataset, target_client: int | None
-) -> tuple[float, float]:
-    """Budgets realized against the current federation. The sample
-    budget uses the target client's current size when one is given,
-    otherwise the smallest client (the conservative choice)."""
+def _outcome(
+    request: UnlearnRequest,
+    action: str,
+    from_iteration: int | None,
+    hyper: HyperParams,
+    dataset: FederatedDataset,
+    start_time: float,
+    probes: int,
+    final_model: np.ndarray | None,
+) -> UnlearnOutcome:
+    """The one place an outcome is built. Budgets are realized against
+    the dataset the call returns: the sample budget uses the target
+    client's size when that client remains, otherwise the smallest
+    client (the conservative choice)."""
     clients = dataset.num_clients
-    if target_client is not None and dataset.has_client(target_client):
-        size = dataset.client(target_client).size
+    if dataset.has_client(request.target_client):
+        size = dataset.client(request.target_client).size
     else:
         size = dataset.min_client_size()
     rho_client = hyper.clients_per_round * hyper.total_steps / (
@@ -100,7 +117,20 @@ def _realized_budgets(
         rho_sample = (
             hyper.batch_size * hyper.clients_per_round * hyper.total_steps
         ) / (clients * size)
-    return rho_sample, rho_client
+    return UnlearnOutcome(
+        request=request,
+        action=action,
+        from_iteration=from_iteration,
+        retrained_iterations=(
+            0 if from_iteration is None else hyper.total_steps - from_iteration + 1
+        ),
+        wall_time_s=time.perf_counter() - start_time,
+        final_model=final_model,
+        rho_sample_realized=rho_sample,
+        rho_client_realized=rho_client,
+        probes=probes,
+        beyond_issue_step=from_iteration is not None and from_iteration > request.issue_step,
+    )
 
 
 def build_sample_replay_plan(
@@ -123,197 +153,59 @@ def build_sample_replay_plan(
     return plan
 
 
-def unlearn_sample(
+def unlearn_request(
     request: UnlearnRequest,
     store: HistoryStore,
     dataset: FederatedDataset,
     hyper: HyperParams,
     loss: LossModel,
 ) -> tuple[UnlearnOutcome, FederatedDataset]:
-    """Delete one sample exactly. Returns the outcome and the reduced
-    dataset (unchanged dataset on a no-op: deletion from the data store
-    itself is still performed by the caller's data pipeline; here the
-    point is removed from the returned federation either way)."""
-    if request.kind != "sample":
-        raise InvalidArgumentError("unlearn_sample needs a sample request")
-    if store.mode != FULL_HISTORY:
-        raise ModeMismatchError(
-            "partial re-computation needs a full history store; use "
-            "full_retrain_unlearn with compact stores"
-        )
+    """Service one deletion request exactly. Returns the outcome and the
+    reduced dataset, or the unchanged dataset when the request is
+    rejected. Raises NotFoundError when the target is not in the
+    dataset and EmptyFederationError when the deletion would leave a
+    client or the federation empty."""
+    start_time = time.perf_counter()
     client_id = request.target_client
     uid = request.target_uid
-    assert uid is not None
-    client = dataset.client(client_id)
-    if not client.has_uid(uid):
-        raise NotFoundError(f"uid {uid} not in client {client_id}")
-    start_time = time.perf_counter()
-    probes_before = store.probes
-    first_use = store.earliest_sample_use(uid)
-    reduced = remove_sample(dataset, client_id, uid)
-    rho_s, rho_c = _realized_budgets(hyper, dataset, client_id)
-    if first_use is None:
-        final = store.latest_global_model()
-        return (
-            UnlearnOutcome(
-                request=request,
-                action=NOOP,
-                from_iteration=None,
-                retrained_iterations=0,
-                wall_time_s=time.perf_counter() - start_time,
-                final_model=final,
-                rho_sample_realized=rho_s,
-                rho_client_realized=rho_c,
-                probes=store.probes - probes_before,
-            ),
-            reduced,
-        )
-    plan = build_sample_replay_plan(store, first_use, client_id, uid)
-    store.prune_after(first_use)
-    final = run_fats(first_use, hyper, reduced, store, loss, replay=plan)
-    return (
-        UnlearnOutcome(
-            request=request,
-            action=PARTIAL_RETRAIN,
-            from_iteration=first_use,
-            retrained_iterations=hyper.total_steps - first_use + 1,
-            wall_time_s=time.perf_counter() - start_time,
-            final_model=final,
-            rho_sample_realized=rho_s,
-            rho_client_realized=rho_c,
-            probes=store.probes - probes_before,
-            beyond_issue_step=first_use > request.issue_step,
-        ),
-        reduced,
-    )
-
-
-def unlearn_client(
-    request: UnlearnRequest,
-    store: HistoryStore,
-    dataset: FederatedDataset,
-    hyper: HyperParams,
-    loss: LossModel,
-) -> tuple[UnlearnOutcome, FederatedDataset]:
-    """Delete one client exactly; re-computation redraws client
-    multisets over the remaining clients with the same per-round count."""
-    if request.kind != "client":
-        raise InvalidArgumentError("unlearn_client needs a client request")
-    if store.mode != FULL_HISTORY:
-        raise ModeMismatchError(
-            "partial re-computation needs a full history store; use "
-            "full_retrain_unlearn with compact stores"
-        )
-    client_id = request.target_client
-    if not dataset.has_client(client_id):
-        raise NotFoundError(f"client {client_id} not in federation")
-    if dataset.num_clients == 1:
-        raise EmptyFederationError("cannot unlearn the only client")
-    start_time = time.perf_counter()
-    probes_before = store.probes
-    first_use = store.earliest_client_use(client_id)
-    reduced = remove_client(dataset, client_id)
-    rho_s, rho_c = _realized_budgets(hyper, reduced, None)
-    if first_use is None:
-        final = store.latest_global_model()
-        return (
-            UnlearnOutcome(
-                request=request,
-                action=NOOP,
-                from_iteration=None,
-                retrained_iterations=0,
-                wall_time_s=time.perf_counter() - start_time,
-                final_model=final,
-                rho_sample_realized=rho_s,
-                rho_client_realized=rho_c,
-                probes=store.probes - probes_before,
-            ),
-            reduced,
-        )
-    store.prune_after(first_use)
-    final = run_fats(first_use, hyper, reduced, store, loss)
-    return (
-        UnlearnOutcome(
-            request=request,
-            action=PARTIAL_RETRAIN,
-            from_iteration=first_use,
-            retrained_iterations=hyper.total_steps - first_use + 1,
-            wall_time_s=time.perf_counter() - start_time,
-            final_model=final,
-            rho_sample_realized=rho_s,
-            rho_client_realized=rho_c,
-            probes=store.probes - probes_before,
-            beyond_issue_step=store.round_of(first_use) > store.round_of(request.issue_step),
-        ),
-        reduced,
-    )
-
-
-def full_retrain_unlearn(
-    request: UnlearnRequest,
-    store: HistoryStore,
-    dataset: FederatedDataset,
-    hyper: HyperParams,
-    loss: LossModel,
-) -> tuple[UnlearnOutcome, FederatedDataset]:
-    """Compact-store deletion: verify involvement with one flag probe
-    and retrain from scratch when involved. Works with either store
-    mode. Note that for sample deletions the keep-or-retrain rule is a
-    coarser coupling than partial re-computation: the no-op branch keeps
-    a history conditioned on non-involvement, so only the involvement
-    verdict and the recompute budget match the partial path exactly."""
-    client_id = request.target_client
-    start_time = time.perf_counter()
-    probes_before = store.probes
-    if request.kind == "sample":
-        uid = request.target_uid
-        assert uid is not None
-        client = dataset.client(client_id)
-        if not client.has_uid(uid):
-            raise NotFoundError(f"uid {uid} not in client {client_id}")
-        involved = store.sample_involved(client_id, uid)
+    sample = request.kind == "sample"
+    full = store.mode == FULL_HISTORY
+    if sample:
         reduced = remove_sample(dataset, client_id, uid)
     else:
-        if not dataset.has_client(client_id):
-            raise NotFoundError(f"client {client_id} not in federation")
-        if dataset.num_clients == 1:
-            raise EmptyFederationError("cannot unlearn the only client")
-        involved = store.client_involved(client_id)
         reduced = remove_client(dataset, client_id)
-    rho_s, rho_c = _realized_budgets(hyper, reduced, None)
-    if not involved:
+
+    # A partial sample re-run redraws only the target client's batches;
+    # every other re-run may draw from any remaining client.
+    if sample and full:
+        smallest = reduced.client(client_id).size
+    else:
+        smallest = reduced.min_client_size()
+    if smallest < hyper.batch_size:
         final = store.latest_global_model()
-        return (
-            UnlearnOutcome(
-                request=request,
-                action=NOOP,
-                from_iteration=None,
-                retrained_iterations=0,
-                wall_time_s=time.perf_counter() - start_time,
-                final_model=final,
-                rho_sample_realized=rho_s,
-                rho_client_realized=rho_c,
-                probes=store.probes - probes_before,
-            ),
-            reduced,
-        )
-    theta0 = store.global_model(0)
-    store.prune_after(1)
-    final = run_fats(1, hyper, reduced, store, loss, theta0=theta0)
-    return (
-        UnlearnOutcome(
-            request=request,
-            action=FULL_RETRAIN,
-            from_iteration=1,
-            retrained_iterations=hyper.total_steps,
-            wall_time_s=time.perf_counter() - start_time,
-            final_model=final,
-            rho_sample_realized=rho_s,
-            rho_client_realized=rho_c,
-            probes=store.probes - probes_before,
-        ),
-        reduced,
-    )
+        return _outcome(request, REJECTED, None, hyper, dataset, start_time, 0, final), dataset
+
+    probes_before = store.probes
+    if sample:
+        from_iteration = store.earliest_sample_use(uid) if full else 1
+    else:
+        from_iteration = store.earliest_client_use(client_id)
+        if from_iteration is not None and not full:
+            from_iteration = 1
+    probes = store.probes - probes_before
+    if from_iteration is None:
+        final = store.latest_global_model()
+        return _outcome(request, NOOP, None, hyper, reduced, start_time, probes, final), reduced
+
+    plan = None
+    if sample and full:
+        plan = build_sample_replay_plan(store, from_iteration, client_id, uid)
+    theta0 = store.global_model(0) if from_iteration == 1 else None
+    store.prune_after(from_iteration)
+    final = run_fats(from_iteration, hyper, reduced, store, loss, theta0=theta0, replay=plan)
+    action = PARTIAL_RETRAIN if full else FULL_RETRAIN
+    outcome = _outcome(request, action, from_iteration, hyper, reduced, start_time, probes, final)
+    return outcome, reduced
 
 
 def process_stream(
@@ -324,30 +216,15 @@ def process_stream(
     loss: LossModel,
 ) -> tuple[list[UnlearnOutcome], FederatedDataset]:
     """Service requests in order. A request whose target is already gone
-    yields a stale outcome and the stream continues."""
+    yields a stale outcome, and a rejected one leaves the store and the
+    dataset as they were; either way the stream continues."""
     outcomes: list[UnlearnOutcome] = []
     for request in requests:
         start_time = time.perf_counter()
         try:
-            if store.mode != FULL_HISTORY:
-                outcome, dataset = full_retrain_unlearn(request, store, dataset, hyper, loss)
-            elif request.kind == "sample":
-                outcome, dataset = unlearn_sample(request, store, dataset, hyper, loss)
-            else:
-                outcome, dataset = unlearn_client(request, store, dataset, hyper, loss)
-        except (NotFoundError, StaleRequestError):
-            rho_s, rho_c = _realized_budgets(hyper, dataset, None)
-            outcome = UnlearnOutcome(
-                request=request,
-                action=STALE,
-                from_iteration=None,
-                retrained_iterations=0,
-                wall_time_s=time.perf_counter() - start_time,
-                final_model=None,
-                rho_sample_realized=rho_s,
-                rho_client_realized=rho_c,
-                probes=0,
-            )
+            outcome, dataset = unlearn_request(request, store, dataset, hyper, loss)
+        except NotFoundError:
+            outcome = _outcome(request, STALE, None, hyper, dataset, start_time, 0, None)
         outcomes.append(outcome)
     return outcomes, dataset
 

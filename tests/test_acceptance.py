@@ -33,7 +33,7 @@ from fedunlab.stability import (
 )
 from fedunlab.store import HistoryStore
 from fedunlab.streams import derive_trial_seeds
-from fedunlab.unlearn import PARTIAL_RETRAIN, unlearn_client, unlearn_sample
+from fedunlab.unlearn import PARTIAL_RETRAIN, unlearn_request
 
 from conftest import micro_hyper
 
@@ -88,6 +88,44 @@ def test_criterion_1_exact_distributional_identity():
         tv_sample == 0 and tv_client == 0 and elapsed < 1.0,
         f"tv_sample={tv_sample} tv_client={tv_client} elapsed={elapsed:.3f}s < 1s",
     )
+
+
+def test_compact_deletion_matches_retrain():
+    """On a compact store, a serviced deletion leaves the final model
+    distributed as a compact retrain on the reduced data, for both
+    request kinds (chi-square on final-model bytes, criterion 1's micro
+    set-up)."""
+    dataset = _micro_dataset()
+    hyper = micro_hyper(storage_mode=COMPACT)
+    loss = make_loss("quadratic", 1)
+    cid = dataset.client_ids[1]
+    uid = dataset.client(cid).uids[0]
+    cases = (
+        (UnlearnRequest(kind="sample", target_client=cid, target_uid=uid, issue_step=2),
+         remove_sample(dataset, cid, uid)),
+        (UnlearnRequest(kind="client", target_client=cid, target_uid=None, issue_step=2),
+         remove_client(dataset, cid)),
+    )
+
+    def final_model(seed, data, request=None):
+        h = replace(hyper, seed=int(seed))
+        store = HistoryStore(COMPACT, 1)
+        run_fats(1, h, data, store, loss)
+        if request is not None:
+            unlearn_request(request, store, data, h, loss)
+        return store.latest_global_model().tobytes()
+
+    details = []
+    passed = True
+    for salt, (request, reduced) in enumerate(cases):
+        report = equivalence_test_mc(
+            lambda seed, request=request: final_model(seed, dataset, request),
+            lambda seed, reduced=reduced: final_model(seed, reduced),
+            trials=1000, seed=920 + salt, name=f"compact-{request.kind}",
+        )
+        passed = passed and report.passed
+        details.append(f"{request.kind} p={report.pvalue:.3g}")
+    assert passed, "; ".join(details)
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +195,7 @@ def test_criterion_2_recompute_probability():
             target = working.client(client_id).uids[0]
             request = UnlearnRequest(kind="sample", target_client=client_id,
                                      target_uid=target, issue_step=2)
-            outcome, working = unlearn_sample(request, store, working, h, loss)
+            outcome, working = unlearn_request(request, store, working, h, loss)
             if outcome.action == PARTIAL_RETRAIN:
                 recomputes += 1
         totals.append(recomputes)
@@ -196,7 +234,7 @@ def test_criterion_3_mc_equivalence_and_mutation():
         run_fats(1, h, dataset, store, loss)
         request = UnlearnRequest(kind="sample", target_client=cid,
                                  target_uid=uid, issue_step=2)
-        unlearn_sample(request, store, dataset, h, loss)
+        unlearn_request(request, store, dataset, h, loss)
         return store.history_tuple()
 
     def run_retrain(seed):
@@ -363,11 +401,11 @@ def test_criterion_5_efficiency_bounds_and_probe_count():
             if kind == "sample":
                 request = UnlearnRequest(kind="sample", target_client=target_cid,
                                          target_uid=target_uid, issue_step=2)
-                outcome, _ = unlearn_sample(request, store, near, h, loss1)
+                outcome, _ = unlearn_request(request, store, near, h, loss1)
             else:
                 request = UnlearnRequest(kind="client", target_client=target_cid,
                                          target_uid=None, issue_step=2)
-                outcome, _ = unlearn_client(request, store, near, h, loss1)
+                outcome, _ = unlearn_request(request, store, near, h, loss1)
             totals.append(outcome.retrained_iterations)
         mean = float(np.mean(totals))
         band = 3 * (float(exact[kind][1]) / trials) ** 0.5
@@ -395,7 +433,7 @@ def test_criterion_5_efficiency_bounds_and_probe_count():
                 target_uid=grid.client(3).uids[0], issue_step=4,
             )
             wall_start = time.perf_counter()
-            outcome, _ = unlearn_sample(request, store, grid, h, loss2)
+            outcome, _ = unlearn_request(request, store, grid, h, loss2)
             walls.append(time.perf_counter() - wall_start)
             retrains.append(outcome.retrained_iterations)
         mean_wall.append(float(np.mean(walls)))
@@ -421,7 +459,7 @@ def test_criterion_5_efficiency_bounds_and_probe_count():
         run_fats(1, hyper, data, store, loss1)
         request = UnlearnRequest(kind="sample", target_client=0,
                                  target_uid=0, issue_step=total_steps)
-        outcome, _ = unlearn_sample(request, store, data, hyper, loss1)
+        outcome, _ = unlearn_request(request, store, data, hyper, loss1)
         probe_counts.append(outcome.probes)
         probe_ok = probe_ok and outcome.probes == 1
     _report(
@@ -526,7 +564,7 @@ def test_criterion_7_determinism_and_prefix_preservation():
     assert uid is not None, "need a sample first used after iteration 1"
     request = UnlearnRequest(kind="sample", target_client=cid,
                              target_uid=uid, issue_step=8)
-    unlearn_sample(request, store, dataset, hyper, loss)
+    unlearn_request(request, store, dataset, hyper, loss)
     prefix_ok = True
     prefix_records = 0
     for (t, rec_cid), record in reference.iter_records():

@@ -259,6 +259,30 @@ def test_cli_pipeline(tmp_path, capsys):
     ]) == 0
 
 
+def test_cli_unlearn_rejected(tmp_path, capsys):
+    """A deletion the reduced data cannot retrain exits 1 and writes
+    nothing: every client holds exactly batch_size = 4 points."""
+    data = str(tmp_path / "data.txt")
+    ckpt = str(tmp_path / "ckpt.txt")
+    ckpt2 = str(tmp_path / "ckpt2.txt")
+    assert cli_main([
+        "gen-data", "--num-clients", "3", "--samples-per-client", "4",
+        "--dim", "2", "--seed", "5", "--out", data,
+    ]) == 0
+    assert cli_main([
+        "train", "--data", data, "--total-steps", "2", "--local-steps", "1",
+        "--rho-sample", "0.6667", "--rho-client", "0.6667", "--lr", "0.05",
+        "--out", ckpt,
+    ]) == 0
+    assert "b=4" in capsys.readouterr().out
+    assert cli_main([
+        "unlearn", "--data", data, "--checkpoint", ckpt, "--kind", "sample",
+        "--client", "0", "--uid", "1", "--out", ckpt2,
+    ]) == 1
+    assert "rejected" in capsys.readouterr().out
+    assert not os.path.exists(ckpt2)
+
+
 def test_cli_verify(capsys):
     assert cli_main(["verify", "--kind", "sample"]) == 0
     assert cli_main(["verify", "--kind", "client"]) == 0

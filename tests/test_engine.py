@@ -213,21 +213,6 @@ def test_replay_plan_pins_decisions(small_dataset):
     assert np.array_equal(final, store.latest_global_model())
 
 
-def test_virtual_average_matches_global_at_boundaries(small_dataset):
-    hyper = _hyper()
-    loss = make_loss("quadratic", 2)
-    store = HistoryStore(FULL_HISTORY, hyper.local_steps)
-    seen = {}
-    run_fats(1, hyper, small_dataset, store, loss,
-             iteration_hook=lambda t, avg: seen.__setitem__(t, avg))
-    assert set(seen) == {1, 2, 3, 4, 5, 6}
-    for round_index in (1, 2, 3):
-        boundary = round_index * hyper.local_steps
-        np.testing.assert_array_equal(
-            seen[boundary], store.global_model(round_index)
-        )
-
-
 def test_round_hook_reports_boundaries(small_dataset):
     hyper = _hyper()
     loss = make_loss("quadratic", 2)

@@ -113,11 +113,20 @@ def test_earliest_client_use_round_based():
 
 
 def test_involvement_flags_full_mode():
+    """Both probes answer in full_history mode; a compact store keeps no
+    sample uses, so only its client probe answers."""
     store = _filled_store()
-    assert store.sample_involved(0, 5)
-    assert not store.sample_involved(0, 999)
-    assert store.client_involved(1)
-    assert not store.client_involved(4)
+    assert store.earliest_sample_use(5) is not None
+    assert store.earliest_sample_use(999) is None
+    assert store.earliest_client_use(1) is not None
+    assert store.earliest_client_use(4) is None
+    compact = HistoryStore(COMPACT, 2)
+    compact.record_global(0, np.zeros(1))
+    compact.record_round_start(1, (0,))
+    compact.record_iteration(1, 0, (1,), np.zeros(1))
+    assert compact.earliest_client_use(0) == 1
+    with pytest.raises(ModeMismatchError):
+        compact.earliest_sample_use(1)
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +169,7 @@ def test_compact_prune_only_full_reset():
         store.discard_from(2)
     store.prune_after(1)
     assert store.next_iteration == 1
-    assert not store.client_involved(0)
+    assert store.earliest_client_use(0) is None
 
 
 # ----------------------------------------------------------------------

@@ -13,24 +13,18 @@ from fedunlab.data import (
     remove_sample,
 )
 from fedunlab.engine import run_fats
-from fedunlab.errors import (
-    EmptyFederationError,
-    InvalidArgumentError,
-    ModeMismatchError,
-    NotFoundError,
-)
+from fedunlab.errors import EmptyFederationError, InvalidArgumentError, NotFoundError
 from fedunlab.losses import make_loss
 from fedunlab.store import HistoryStore
 from fedunlab.unlearn import (
     FULL_RETRAIN,
     NOOP,
     PARTIAL_RETRAIN,
+    REJECTED,
     STALE,
-    full_retrain_unlearn,
     parse_request_line,
     process_stream,
-    unlearn_client,
-    unlearn_sample,
+    unlearn_request,
 )
 
 
@@ -82,7 +76,7 @@ def test_unlearn_sample_noop_when_never_used():
         reference = store.copy()
         request = UnlearnRequest(kind="sample", target_client=client_id,
                                  target_uid=uid, issue_step=hyper.total_steps)
-        outcome, reduced = unlearn_sample(request, store, dataset, hyper, loss)
+        outcome, reduced = unlearn_request(request, store, dataset, hyper, loss)
         assert outcome.action == NOOP
         assert outcome.retrained_iterations == 0
         assert outcome.probes == 1
@@ -97,7 +91,7 @@ def test_unlearn_sample_removes_target_everywhere():
     client_id, uid = _find_used_uid(store, dataset)
     request = UnlearnRequest(kind="sample", target_client=client_id,
                              target_uid=uid, issue_step=hyper.total_steps)
-    outcome, reduced = unlearn_sample(request, store, dataset, hyper, loss)
+    outcome, reduced = unlearn_request(request, store, dataset, hyper, loss)
     assert outcome.action == PARTIAL_RETRAIN
     assert outcome.probes == 1
     assert outcome.from_iteration is not None
@@ -118,7 +112,7 @@ def test_unlearn_sample_preserves_prefix_and_uninvolved_batches():
     first_use = reference._earliest_use[uid]
     request = UnlearnRequest(kind="sample", target_client=client_id,
                              target_uid=uid, issue_step=hyper.total_steps)
-    unlearn_sample(request, store, dataset, hyper, loss)
+    unlearn_request(request, store, dataset, hyper, loss)
     # records strictly before the first use are bit-identical
     for (t, cid), record in reference.iter_records():
         if t < first_use:
@@ -141,7 +135,7 @@ def test_unlearn_sample_epoch_advances_only_on_recompute():
     epoch = store.epoch
     request = UnlearnRequest(kind="sample", target_client=client_id,
                              target_uid=uid, issue_step=hyper.total_steps)
-    unlearn_sample(request, store, dataset, hyper, loss)
+    unlearn_request(request, store, dataset, hyper, loss)
     assert store.epoch == epoch + 1
 
 
@@ -150,23 +144,25 @@ def test_unlearn_sample_missing_uid():
     request = UnlearnRequest(kind="sample", target_client=0,
                              target_uid=10**9, issue_step=8)
     with pytest.raises(NotFoundError):
-        unlearn_sample(request, store, dataset, hyper, loss)
+        unlearn_request(request, store, dataset, hyper, loss)
 
 
 def test_unlearn_sample_needs_full_history():
-    dataset, hyper, loss, store = _setup(mode=COMPACT)
-    request = UnlearnRequest(kind="sample", target_client=0,
-                             target_uid=dataset.client(0).uids[0], issue_step=8)
-    with pytest.raises(ModeMismatchError):
-        unlearn_sample(request, store, dataset, hyper, loss)
-
-
-def test_unlearn_sample_rejects_wrong_kind():
-    dataset, hyper, loss, store = _setup()
-    request = UnlearnRequest(kind="client", target_client=0,
-                             target_uid=None, issue_step=8)
-    with pytest.raises(InvalidArgumentError):
-        unlearn_sample(request, store, dataset, hyper, loss)
+    """Only a full history can tell a sample was never used or replay a
+    prefix: on a compact store every sample deletion retrains from 1."""
+    for client_id in (0, 3):
+        dataset, hyper, loss, store = _setup(seed=5, mode=COMPACT)
+        uid = dataset.client(client_id).uids[0]
+        epoch = store.epoch
+        request = UnlearnRequest(kind="sample", target_client=client_id,
+                                 target_uid=uid, issue_step=8)
+        outcome, reduced = unlearn_request(request, store, dataset, hyper, loss)
+        assert outcome.action == FULL_RETRAIN
+        assert outcome.from_iteration == 1
+        assert outcome.retrained_iterations == hyper.total_steps
+        assert outcome.probes == 0
+        assert store.epoch == epoch + 1
+        assert not reduced.client(client_id).has_uid(uid)
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +176,7 @@ def test_unlearn_client_prunes_from_first_selection():
     first_round = reference._earliest_round[client_id]
     request = UnlearnRequest(kind="client", target_client=client_id,
                              target_uid=None, issue_step=hyper.total_steps)
-    outcome, reduced = unlearn_client(request, store, dataset, hyper, loss)
+    outcome, reduced = unlearn_request(request, store, dataset, hyper, loss)
     assert outcome.action == PARTIAL_RETRAIN
     assert outcome.from_iteration == (first_round - 1) * hyper.local_steps + 1
     assert not reduced.has_client(client_id)
@@ -205,7 +201,7 @@ def test_unlearn_client_keeps_per_round_count():
     client_id = store.round_multiset(1)[0]
     request = UnlearnRequest(kind="client", target_client=client_id,
                              target_uid=None, issue_step=hyper.total_steps)
-    unlearn_client(request, store, dataset, hyper, loss)
+    unlearn_request(request, store, dataset, hyper, loss)
     for r in range(1, hyper.rounds + 1):
         assert len(store.round_multiset(r)) == hyper.clients_per_round
 
@@ -221,7 +217,7 @@ def test_unlearn_client_noop_when_never_selected():
         reference = store.copy()
         request = UnlearnRequest(kind="client", target_client=unseen[0],
                                  target_uid=None, issue_step=hyper.total_steps)
-        outcome, reduced = unlearn_client(request, store, dataset, hyper, loss)
+        outcome, reduced = unlearn_request(request, store, dataset, hyper, loss)
         assert outcome.action == NOOP
         assert outcome.probes == 1
         assert store.state_equal(reference)
@@ -242,7 +238,7 @@ def test_unlearn_client_last_client_forbidden(micro_dataset):
     request = UnlearnRequest(kind="client", target_client=1,
                              target_uid=None, issue_step=2)
     with pytest.raises(EmptyFederationError):
-        unlearn_client(request, store, reduced, hyper, loss)
+        unlearn_request(request, store, reduced, hyper, loss)
 
 
 # ----------------------------------------------------------------------
@@ -251,22 +247,16 @@ def test_unlearn_client_last_client_forbidden(micro_dataset):
 
 def test_full_retrain_unlearn_compact():
     dataset, hyper, loss, store = _setup(seed=5, mode=COMPACT)
-    client_id, uid = None, None
-    for client in dataset.clients:
-        for candidate in client.uids:
-            if store.sample_involved(client.client_id, candidate):
-                client_id, uid = client.client_id, candidate
-                break
-        if uid is not None:
-            break
-    assert uid is not None
-    request = UnlearnRequest(kind="sample", target_client=client_id,
-                             target_uid=uid, issue_step=hyper.total_steps)
-    outcome, reduced = full_retrain_unlearn(request, store, dataset, hyper, loss)
+    client_id = min(store._earliest_round)
+    request = UnlearnRequest(kind="client", target_client=client_id,
+                             target_uid=None, issue_step=hyper.total_steps)
+    outcome, reduced = unlearn_request(request, store, dataset, hyper, loss)
     assert outcome.action == FULL_RETRAIN
+    assert outcome.probes == 1
     assert outcome.retrained_iterations == hyper.total_steps
-    assert not store.sample_involved(client_id, uid)
-    assert outcome.final_model is not None
+    assert store.earliest_client_use(client_id) is None
+    assert not reduced.has_client(client_id)
+    np.testing.assert_array_equal(outcome.final_model, store.latest_global_model())
 
 
 def test_full_retrain_unlearn_deterministic():
@@ -277,10 +267,45 @@ def test_full_retrain_unlearn_deterministic():
         uid = dataset.client(client_id).uids[0]
         request = UnlearnRequest(kind="sample", target_client=client_id,
                                  target_uid=uid, issue_step=hyper.total_steps)
-        outcome, _ = full_retrain_unlearn(request, store, dataset, hyper, loss)
+        outcome, _ = unlearn_request(request, store, dataset, hyper, loss)
         results.append((outcome.action, outcome.final_model))
     assert results[0][0] == results[1][0]
     np.testing.assert_array_equal(results[0][1], results[1][1])
+
+
+# ----------------------------------------------------------------------
+# rejected deletions
+
+
+def _tight_setup():
+    """Every client holds exactly batch_size points, so any deletion that
+    must redraw a batch from the target client is infeasible."""
+    return _setup(seed=0, num_clients=3, samples=4, total_steps=8,
+                  local_steps=2, batch_size=4, clients_per_round=2)
+
+
+def test_failed_deletion_leaves_store_untouched():
+    dataset, hyper, loss, store = _tight_setup()
+    client_id, uid = _find_used_uid(store, dataset)
+    reference = store.copy()
+    bad = UnlearnRequest(kind="sample", target_client=client_id,
+                         target_uid=uid, issue_step=hyper.total_steps)
+    (outcome,), returned = process_stream([bad], store, dataset, hyper, loss)
+    assert outcome.action == REJECTED
+    assert outcome.probes == 0
+    assert outcome.retrained_iterations == 0
+    assert returned is dataset
+    assert store.state_equal(reference)
+    np.testing.assert_array_equal(outcome.final_model, reference.latest_global_model())
+    # the stream goes on past a rejected request
+    other = next(c for c in dataset.client_ids if c != client_id)
+    good = UnlearnRequest(kind="client", target_client=other,
+                          target_uid=None, issue_step=hyper.total_steps)
+    outcomes, reduced = process_stream([bad, good], store, dataset, hyper, loss)
+    assert outcomes[0].action == REJECTED
+    assert outcomes[1].action in (NOOP, PARTIAL_RETRAIN)
+    assert reduced.client(client_id).has_uid(uid)
+    assert not reduced.has_client(other)
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +348,7 @@ def test_outcome_log_line_format():
     client_id, uid = _find_used_uid(store, dataset)
     request = UnlearnRequest(kind="sample", target_client=client_id,
                              target_uid=uid, issue_step=hyper.total_steps)
-    outcome, _ = unlearn_sample(request, store, dataset, hyper, loss)
+    outcome, _ = unlearn_request(request, store, dataset, hyper, loss)
     fields = outcome.log_line().split(",")
     assert fields[0] == "sample"
     assert fields[1] == str(client_id)
@@ -340,3 +365,5 @@ def test_parse_request_line():
     assert request.target_uid is None
     with pytest.raises(InvalidArgumentError):
         parse_request_line("sample,3,17")
+    with pytest.raises(InvalidArgumentError):
+        parse_request_line("bogus,3,17,40")
