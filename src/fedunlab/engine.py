@@ -48,12 +48,6 @@ class ReplayPlan:
     round_multisets: dict[int, tuple[int, ...]] = field(default_factory=dict)
     batches: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
 
-    def multiset(self, round_index: int) -> tuple[int, ...] | None:
-        return self.round_multisets.get(round_index)
-
-    def batch(self, iteration: int, client_id: int) -> tuple[int, ...] | None:
-        return self.batches.get((iteration, client_id))
-
 
 def sample_client_multiset(
     rng: np.random.Generator, client_ids: tuple[int, ...], count: int
@@ -141,6 +135,8 @@ def run_fats(
     lr = hyper.lr
     active = dataset.client_ids
     epoch = store.epoch
+    plan = ReplayPlan() if replay is None else replay
+    pinned_multisets, pinned_batches = plan.round_multisets, plan.batches
 
     first_round = store.round_of(start_iteration)
     mid_round = start_iteration != store.round_start_iteration(first_round)
@@ -154,12 +150,11 @@ def run_fats(
                 f"mid-round start at t={start_iteration} but round "
                 f"{first_round} has no recorded multiset"
             )
-        if replay is not None:
-            pinned = replay.multiset(first_round)
-            if pinned is not None and pinned != multiset:
-                raise CorruptedHistoryError(
-                    "replay plan disagrees with the stored round multiset"
-                )
+        pinned = pinned_multisets.get(first_round)
+        if pinned is not None and pinned != multiset:
+            raise CorruptedHistoryError(
+                "replay plan disagrees with the stored round multiset"
+            )
         for client_id in sorted(set(multiset)):
             record = store.iteration_record(start_iteration - 1, client_id)
             if record is None:
@@ -189,7 +184,7 @@ def run_fats(
     for t in range(start_iteration, total + 1):
         round_index = store.round_of(t)
         if t == store.round_start_iteration(round_index):
-            pinned = replay.multiset(round_index) if replay is not None else None
+            pinned = pinned_multisets.get(round_index)
             if pinned is not None:
                 multiset = pinned
             else:
@@ -204,7 +199,7 @@ def run_fats(
             locals_ = {cid: broadcast.copy() for cid in set(multiset)}
         assert multiset is not None
         for client_id in sorted(set(multiset)):
-            pinned_batch = replay.batch(t, client_id) if replay is not None else None
+            pinned_batch = pinned_batches.get((t, client_id))
             client = dataset.client(client_id)
             if pinned_batch is not None:
                 batch = pinned_batch

@@ -4,10 +4,12 @@ equivalence harnesses.
 A sampling history is, per round, the drawn client multiset and, for
 every distinct selected client, its mini-batch uid sets for each local
 iteration. This module enumerates the exact rational distribution over
-histories for small configurations, applies the deletion couplings to
-it symbolically, and checks distributional identities with zero
-tolerance. All probabilities are Fractions; floating point never enters
-the exact paths.
+histories for small configurations and checks distributional identities
+with zero tolerance. It holds no deletion rule of its own: the
+distribution after a deletion runs `unlearn.couple`, the function the
+engine's `unlearn_request` runs, on every enumerated history, for
+either store mode. All probabilities are Fractions; floating point never
+enters the exact paths.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
     TooLargeToEnumerateError,
 )
 from .streams import derive_trial_seeds
+from .unlearn import couple
 
 ENUMERATION_BUDGET = 10**6
 
@@ -89,85 +92,76 @@ def _check_budget(hyper: HyperParams, dataset: FederatedDataset) -> None:
         )
 
 
+def _round_outcomes(
+    hyper: HyperParams, dataset: FederatedDataset, pins: tuple
+) -> list[tuple[Round, Fraction]]:
+    """All (round outcome, probability) pairs for one round. pins holds
+    the round's multiset (None: drawn) and the batches pinned by (local
+    step, client); every other decision is drawn uniformly from the
+    dataset, so the outcomes of one multiset are equally likely."""
+    multiset_pin, batch_pins = pins
+    pinned = dict(batch_pins)
+    steps = hyper.local_steps
+    ids = dataset.client_ids
+    multisets = [(multiset_pin, Fraction(1))] if multiset_pin is not None else [
+        (multiset, _multiset_probability(multiset, len(ids)))
+        for multiset in itertools.combinations_with_replacement(ids, hyper.clients_per_round)
+    ]
+    outcomes: list[tuple[Round, Fraction]] = []
+    for multiset, prob in multisets:
+        distinct = sorted(set(multiset))
+        slots = []
+        for client_id, step in itertools.product(distinct, range(steps)):
+            batch = pinned.get((step, client_id))
+            if batch is None:
+                uids = sorted(dataset.client(client_id).uids)
+                slots.append(list(itertools.combinations(uids, hyper.batch_size)))
+                prob /= len(slots[-1])
+            else:
+                slots.append((batch,))
+        for batches in itertools.product(*slots):
+            body = tuple(
+                (client_id, batches[i * steps : (i + 1) * steps])
+                for i, client_id in enumerate(distinct)
+            )
+            outcomes.append(((multiset, body), prob))
+    return outcomes
+
+
 def per_round_outcomes(
     hyper: HyperParams, dataset: FederatedDataset
 ) -> list[tuple[Round, Fraction]]:
     """All (round outcome, probability) pairs for one round."""
-    client_ids = dataset.client_ids
-    outcomes: list[tuple[Round, Fraction]] = []
-    for multiset in itertools.combinations_with_replacement(
-        client_ids, hyper.clients_per_round
-    ):
-        base = _multiset_probability(multiset, len(client_ids))
-        distinct = sorted(set(multiset))
-        per_client_choices: list[list[tuple[tuple[tuple[int, ...], ...], Fraction]]] = []
-        for client_id in distinct:
-            uids = dataset.client(client_id).uids
-            if hyper.batch_size > len(uids):
-                raise InvalidArgumentError(
-                    f"client {client_id} is smaller than the batch size"
-                )
-            combos = [
-                tuple(sorted(batch))
-                for batch in itertools.combinations(uids, hyper.batch_size)
-            ]
-            weight = Fraction(1, len(combos))
-            sequences = [
-                (seq, weight ** hyper.local_steps)
-                for seq in itertools.product(combos, repeat=hyper.local_steps)
-            ]
-            per_client_choices.append(sequences)
-        for assignment in itertools.product(*per_client_choices):
-            prob = base
-            body = []
-            for client_id, (seq, weight) in zip(distinct, assignment):
-                prob *= weight
-                body.append((client_id, seq))
-            outcomes.append(((tuple(multiset), tuple(body)), prob))
-    return outcomes
+    return _round_outcomes(hyper, dataset, (None, ()))
+
+
+def _complete(
+    hyper: HyperParams, dataset: FederatedDataset, groups: dict[tuple, Fraction]
+) -> HistoryDistribution:
+    """Distribution over histories when each group of per-round pins
+    carries its mass and every unpinned decision is drawn from the
+    dataset. Rounds are independent given their pins."""
+    if dataset.min_client_size() < hyper.batch_size:
+        raise InvalidArgumentError("a client is smaller than the batch size")
+    acc: dict[History, Fraction] = {}
+    for pins, mass in groups.items():
+        rounds = [_round_outcomes(hyper, dataset, round_pins) for round_pins in pins]
+        for combo in itertools.product(*rounds):
+            prob = mass
+            for _, p in combo:
+                prob *= p
+            history = tuple(outcome for outcome, _ in combo)
+            acc[history] = acc.get(history, Fraction(0)) + prob
+    return HistoryDistribution.from_dict(acc)
 
 
 def enumerate_history_distribution(
     hyper: HyperParams, dataset: FederatedDataset
 ) -> HistoryDistribution:
     """Exact distribution over full sampling histories of a training run
-    on the given dataset. Rounds are independent and identically
-    distributed, so the history measure is the per-round measure to the
-    power of the round count."""
+    on the given dataset: every round drawn with nothing pinned."""
     _check_budget(hyper, dataset)
-    rounds = per_round_outcomes(hyper, dataset)
-    acc: dict[History, Fraction] = {}
-    for combo in itertools.product(rounds, repeat=hyper.rounds):
-        history = tuple(outcome for outcome, _ in combo)
-        prob = Fraction(1)
-        for _, p in combo:
-            prob *= p
-        acc[history] = acc.get(history, Fraction(0)) + prob
-    return HistoryDistribution.from_dict(acc)
-
-
-def _first_sample_involvement(
-    history: History, hyper: HyperParams, client_id: int, uid: int
-) -> int | None:
-    """Earliest iteration whose recorded batch for client_id contains
-    uid, scanning the entire history."""
-    for round_index, (multiset, body) in enumerate(history, start=1):
-        if client_id not in multiset:
-            continue
-        for cid, batches in body:
-            if cid != client_id:
-                continue
-            for step, batch in enumerate(batches, start=1):
-                if uid in batch:
-                    return (round_index - 1) * hyper.local_steps + step
-    return None
-
-
-def _first_client_involvement(history: History, client_id: int) -> int | None:
-    for round_index, (multiset, _) in enumerate(history, start=1):
-        if client_id in multiset:
-            return round_index
-    return None
+    return _complete(hyper, dataset, {((None, ()),) * hyper.rounds: Fraction(1)})
 
 
 def unlearned_history_distribution(
@@ -176,91 +170,53 @@ def unlearned_history_distribution(
     request: UnlearnRequest,
 ) -> HistoryDistribution:
     """Exact distribution over final histories after training on the
-    full dataset and servicing one deletion request, mirroring the
-    engine's couplings symbolically.
+    full dataset and servicing one deletion request on a store in
+    hyper.storage_mode.
 
-    Sample deletion keeps multisets and uninvolved batches and replaces
-    every batch of the target client that contained the uid with a
-    uniformly drawn batch over the client's remaining points. Client
-    deletion keeps rounds before the first selection and redraws all
-    later rounds over the remaining clients.
+    The deletion rule is the engine's own: `unlearn.couple` runs on every
+    enumerated history, fed the first use the store's index would
+    report. Every decision before the start it returns, plus its replay
+    plan, is pinned; histories with equal pins are grouped and each
+    group is completed once over the reduced dataset.
     """
     _check_budget(hyper, dataset)
-    original = enumerate_history_distribution(hyper, dataset)
-    acc: dict[History, Fraction] = {}
-
     if request.kind == "sample":
-        client_id = request.target_client
-        uid = request.target_uid
-        assert uid is not None
-        reduced_uids = tuple(
-            u for u in dataset.client(client_id).uids if u != uid
-        )
-        if hyper.batch_size > len(reduced_uids):
-            raise InvalidArgumentError(
-                "deletion would leave the client smaller than the batch size"
-            )
-        reduced_batches = [
-            tuple(sorted(batch))
-            for batch in itertools.combinations(reduced_uids, hyper.batch_size)
+        reduced = remove_sample(dataset, request.target_client, request.target_uid)
+    else:
+        reduced = remove_client(dataset, request.target_client)
+    steps = hyper.local_steps
+    groups: dict[tuple, Fraction] = {}
+    original = enumerate_history_distribution(hyper, dataset)
+    for history, prob in zip(original.support, original.probs):
+        multisets = [(r, multiset) for r, (multiset, _) in enumerate(history, start=1)]
+        records = [
+            (((r - 1) * steps + step, client_id), batch)
+            for r, (_, body) in enumerate(history, start=1)
+            for client_id, batches in body
+            for step, batch in enumerate(batches, start=1)
         ]
-        redraw_weight = Fraction(1, len(reduced_batches))
-        for history, prob in zip(original.support, original.probs):
-            slots = []
-            for r_index, (multiset, body) in enumerate(history):
-                for c_index, (cid, batches) in enumerate(body):
-                    if cid != client_id:
-                        continue
-                    for s_index, batch in enumerate(batches):
-                        if uid in batch:
-                            slots.append((r_index, c_index, s_index))
-            if not slots:
-                acc[history] = acc.get(history, Fraction(0)) + prob
-                continue
-            for replacement in itertools.product(reduced_batches, repeat=len(slots)):
-                rounds = [
-                    [list(batches) for _, batches in body]
-                    for _, body in history
-                ]
-                for (r_index, c_index, s_index), batch in zip(slots, replacement):
-                    rounds[r_index][c_index][s_index] = batch
-                rebuilt: list[Round] = []
-                for (multiset, body), new_batches in zip(history, rounds):
-                    rebuilt.append(
-                        (
-                            multiset,
-                            tuple(
-                                (cid, tuple(batches))
-                                for (cid, _), batches in zip(body, new_batches)
-                            ),
-                        )
-                    )
-                weight = prob * redraw_weight ** len(slots)
-                key = tuple(rebuilt)
-                acc[key] = acc.get(key, Fraction(0)) + weight
-        return HistoryDistribution.from_dict(acc)
-
-    if request.kind == "client":
-        client_id = request.target_client
-        reduced = remove_client(dataset, client_id)
-        fresh_rounds = per_round_outcomes(hyper, reduced)
-        for history, prob in zip(original.support, original.probs):
-            first_round = _first_client_involvement(history, client_id)
-            if first_round is None:
-                acc[history] = acc.get(history, Fraction(0)) + prob
-                continue
-            prefix = history[: first_round - 1]
-            tail = hyper.rounds - first_round + 1
-            for combo in itertools.product(fresh_rounds, repeat=tail):
-                suffix = tuple(outcome for outcome, _ in combo)
-                weight = prob
-                for _, p in combo:
-                    weight *= p
-                key = prefix + suffix
-                acc[key] = acc.get(key, Fraction(0)) + weight
-        return HistoryDistribution.from_dict(acc)
-
-    raise InvalidArgumentError(f"unknown request kind {request.kind!r}")
+        if request.kind == "sample":
+            uses = [t for (t, _), batch in records if request.target_uid in batch]
+        else:
+            uses = [(r - 1) * steps + 1 for r, m in multisets if request.target_client in m]
+        start, plan = couple(
+            request, hyper.storage_mode, min(uses, default=None), multisets, records, steps
+        )
+        end = hyper.total_steps + 1 if start is None else start
+        kept = {r: m for r, m in multisets if (r - 1) * steps + 1 < end}
+        kept.update(plan.round_multisets)
+        batches = [(key, batch) for key, batch in records if key[0] < end]
+        batches.extend(plan.batches.items())
+        pins = tuple(
+            (kept.get(r), tuple(sorted(
+                (((t - 1) % steps, client_id), batch)
+                for (t, client_id), batch in batches
+                if (t - 1) // steps == r - 1
+            )))
+            for r in range(1, hyper.rounds + 1)
+        )
+        groups[pins] = groups.get(pins, Fraction(0)) + prob
+    return _complete(hyper, reduced, groups)
 
 
 def involvement_probability(

@@ -159,6 +159,13 @@ class HistoryStore:
             raise ModeMismatchError("iteration records are not kept in compact mode")
         yield from sorted(self._iterations.items())
 
+    def decisions(self):
+        """The recorded sampling decisions as flat (round, multiset) and
+        ((iteration, client), batch) pairs, in no particular order. Both
+        are empty in compact mode."""
+        records = ((key, rec.batch_uids) for key, rec in self._iterations.items())
+        return self._round_multisets.items(), records
+
     def global_model(self, round_index: int) -> np.ndarray | None:
         if self.mode == FULL_HISTORY:
             model = self._global_models.get(round_index)

@@ -1,28 +1,29 @@
 """Deletion handling: O(1) verification plus partial re-computation.
 
 `unlearn_request` is the one entry point for both request kinds and
-both store modes; the action follows from the store's mode.
+both store modes. `couple` is the one deletion rule: from the target's
+first recorded use it picks the iteration the re-run starts at and the
+recorded decisions at or after it that the re-run keeps; every decision
+before the start is kept and every other one is redrawn from the
+reduced dataset under a fresh stream epoch. The exact certifier
+(`stability.unlearned_history_distribution`) runs this same function.
 
-Sample deletion verifies involvement with one index probe. If the
-sample never appeared in a recorded batch the request is a no-op and
-the current model is already indistinguishable from one trained without
-the sample. Otherwise re-computation starts at the earliest involved
-iteration. The re-run reuses the recorded client multisets, every other
-client's recorded batches, and the target client's batches that did not
-contain the deleted point; only batches that contained it are redrawn,
-from the reduced dataset under a fresh stream epoch. This component-wise
-reuse is exactly the coupling that makes the re-computed run's sampling
-history distributionally identical to retraining from scratch on the
-reduced dataset. Redrawing the whole suffix instead would bias the
-retained prefix (it would be conditioned on non-involvement), so the
-reuse is a correctness requirement, not an optimization.
+Sample deletion on a full-history store verifies involvement with one
+index probe; an unused sample is a no-op. Otherwise the re-run starts at
+the earliest involved iteration and keeps the client multisets, every
+other client's batches, and the target client's batches that did not
+contain the deleted point; only batches that contained it are redrawn.
+This component-wise reuse is the coupling that makes the re-run's
+sampling history distributed exactly as a retrain on the reduced
+dataset. Redrawing the whole suffix instead would bias the retained
+prefix (it would be conditioned on non-involvement), so the reuse is a
+correctness requirement, not an optimization.
 
 Client deletion verifies with one probe against the round index. The
-re-run starts at the first round that selected the client; from there
-every multiset is redrawn over the remaining clients (conditioning a
+re-run starts at the first round that selected the client and redraws
+everything from there over the remaining clients (conditioning a
 with-replacement draw on avoiding one client is exactly the uniform
-draw over the others, so the retained prefix needs no surgery) and all
-batches in re-run rounds are fresh.
+draw over the others, so the retained prefix needs no surgery).
 
 A compact store keeps no batches, so it cannot replay a prefix. A
 compact sample deletion always retrains from iteration 1 under a fresh
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from .data import (
     remove_sample,
 )
 from .engine import ReplayPlan, run_fats
-from .errors import InvalidArgumentError, NotFoundError
+from .errors import EmptyFederationError, InvalidArgumentError, NotFoundError
 from .losses import LossModel
 from .store import HistoryStore
 
@@ -61,6 +63,9 @@ PARTIAL_RETRAIN = "partial_retrain"
 FULL_RETRAIN = "full_retrain"
 STALE = "stale"
 REJECTED = "rejected"
+
+Multisets = Iterable[tuple[int, tuple[int, ...]]]  # (round, multiset)
+Records = Iterable[tuple[tuple[int, int], tuple[int, ...]]]  # ((iteration, client), batch)
 
 
 @dataclass(frozen=True)
@@ -134,23 +139,37 @@ def _outcome(
 
 
 def build_sample_replay_plan(
-    store: HistoryStore, from_iteration: int, client_id: int, uid: int
+    request: UnlearnRequest, start: int, multisets: Multisets, records: Records, local_steps: int
 ) -> ReplayPlan:
-    """Pin every recorded decision at or after from_iteration except the
-    target client's batches that contained the deleted uid."""
-    plan = ReplayPlan()
-    for r in range(store.round_of(from_iteration), store.round_of(store.next_iteration - 1) + 1):
-        if store.round_start_iteration(r) >= from_iteration:
-            multiset = store.round_multiset(r)
-            if multiset is not None:
-                plan.round_multisets[r] = multiset
-    for (t, cid), record in store.iter_records():
-        if t < from_iteration:
-            continue
-        if cid == client_id and uid in record.batch_uids:
-            continue
-        plan.batches[(t, cid)] = record.batch_uids
-    return plan
+    """Pin every recorded decision at or after start except the target
+    client's batches that contained the deleted uid."""
+    client_id, uid = request.target_client, request.target_uid
+    return ReplayPlan(
+        round_multisets={r: m for r, m in multisets if (r - 1) * local_steps >= start - 1},
+        batches={
+            key: batch
+            for key, batch in records
+            if key[0] >= start and not (key[1] == client_id and uid in batch)
+        },
+    )
+
+
+def couple(
+    request: UnlearnRequest, mode: str, first_use: int | None,
+    multisets: Multisets, records: Records, local_steps: int,
+) -> tuple[int | None, ReplayPlan]:
+    """The deletion rule for both request kinds and both store modes.
+
+    first_use is the target's earliest recorded use (None when it was
+    never used or the store cannot tell); multisets and records are the
+    recorded (round, multiset) and ((iteration, client), batch) pairs.
+    Returns the iteration the re-run starts at (None: keep the history
+    as it is) and the decisions at or after it that the re-run keeps."""
+    if mode != FULL_HISTORY:
+        return (1 if request.kind == "sample" or first_use is not None else None), ReplayPlan()
+    if request.kind == "client" or first_use is None:
+        return first_use, ReplayPlan()
+    return first_use, build_sample_replay_plan(request, first_use, multisets, records, local_steps)
 
 
 def unlearn_request(
@@ -187,19 +206,18 @@ def unlearn_request(
 
     probes_before = store.probes
     if sample:
-        from_iteration = store.earliest_sample_use(uid) if full else 1
+        first_use = store.earliest_sample_use(uid) if full else None
     else:
-        from_iteration = store.earliest_client_use(client_id)
-        if from_iteration is not None and not full:
-            from_iteration = 1
+        first_use = store.earliest_client_use(client_id)
     probes = store.probes - probes_before
+    multisets, records = store.decisions()
+    from_iteration, plan = couple(
+        request, store.mode, first_use, multisets, records, store.local_steps
+    )
     if from_iteration is None:
         final = store.latest_global_model()
         return _outcome(request, NOOP, None, hyper, reduced, start_time, probes, final), reduced
 
-    plan = None
-    if sample and full:
-        plan = build_sample_replay_plan(store, from_iteration, client_id, uid)
     theta0 = store.global_model(0) if from_iteration == 1 else None
     store.prune_after(from_iteration)
     final = run_fats(from_iteration, hyper, reduced, store, loss, theta0=theta0, replay=plan)
@@ -216,8 +234,9 @@ def process_stream(
     loss: LossModel,
 ) -> tuple[list[UnlearnOutcome], FederatedDataset]:
     """Service requests in order. A request whose target is already gone
-    yields a stale outcome, and a rejected one leaves the store and the
-    dataset as they were; either way the stream continues."""
+    yields a stale outcome. A rejected one, including one that would
+    leave a client or the federation empty, leaves the store and the
+    dataset as they were. Either way the stream continues."""
     outcomes: list[UnlearnOutcome] = []
     for request in requests:
         start_time = time.perf_counter()
@@ -225,6 +244,9 @@ def process_stream(
             outcome, dataset = unlearn_request(request, store, dataset, hyper, loss)
         except NotFoundError:
             outcome = _outcome(request, STALE, None, hyper, dataset, start_time, 0, None)
+        except EmptyFederationError:
+            final = store.latest_global_model()
+            outcome = _outcome(request, REJECTED, None, hyper, dataset, start_time, 0, final)
         outcomes.append(outcome)
     return outcomes, dataset
 

@@ -416,28 +416,35 @@ def test_criterion_5_efficiency_bounds_and_probe_count():
     grid = generate_synthetic(
         num_clients=8, samples_per_client=4, dim=2, classes=2, beta=0.5, seed=3
     )
-    mean_wall, mean_retrained = [], []
-    for k in (1, 2, 4):
-        hyper = _hyper(
+    # The K arms run interleaved, trial by trial, so a change of host
+    # speed during the loop reaches all three alike.
+    arms = (1, 2, 4)
+    hypers = {
+        k: _hyper(
             num_clients=8, samples_per_client=4, total_steps=4, local_steps=1,
             clients_per_round=k, batch_size=1,
             rho_sample=k * 4 / 32, rho_client=k * 4 / 8,
         )
-        walls, retrains = [], []
-        for seed in derive_trial_seeds(777, 300, salt=k):
-            h = replace(hyper, seed=int(seed))
+        for k in arms
+    }
+    seeds = {k: derive_trial_seeds(777, 300, salt=k) for k in arms}
+    request = UnlearnRequest(
+        kind="sample", target_client=3,
+        target_uid=grid.client(3).uids[0], issue_step=4,
+    )
+    walls = {k: [] for k in arms}
+    retrains = {k: [] for k in arms}
+    for trial in range(300):
+        for k in arms:
+            h = replace(hypers[k], seed=int(seeds[k][trial]))
             store = HistoryStore(FULL_HISTORY, 1)
             run_fats(1, h, grid, store, loss2)
-            request = UnlearnRequest(
-                kind="sample", target_client=3,
-                target_uid=grid.client(3).uids[0], issue_step=4,
-            )
             wall_start = time.perf_counter()
             outcome, _ = unlearn_request(request, store, grid, h, loss2)
-            walls.append(time.perf_counter() - wall_start)
-            retrains.append(outcome.retrained_iterations)
-        mean_wall.append(float(np.mean(walls)))
-        mean_retrained.append(float(np.mean(retrains)))
+            walls[k].append(time.perf_counter() - wall_start)
+            retrains[k].append(outcome.retrained_iterations)
+    mean_wall = [float(np.mean(walls[k])) for k in arms]
+    mean_retrained = [float(np.mean(retrains[k])) for k in arms]
     monotone_ok = (
         mean_wall[0] <= mean_wall[1] <= mean_wall[2]
         and mean_retrained[0] <= mean_retrained[1] <= mean_retrained[2]

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from fedunlab import stability
 from fedunlab.data import (
+    COMPACT,
     FULL_HISTORY,
     HyperParams,
     UnlearnRequest,
@@ -14,6 +16,7 @@ from fedunlab.data import (
     remove_client,
     remove_sample,
 )
+from fedunlab.engine import ReplayPlan
 from fedunlab.errors import BinsTooFineError, InvalidArgumentError, TooLargeToEnumerateError
 from fedunlab.stability import (
     HistoryDistribution,
@@ -33,13 +36,13 @@ from conftest import micro_hyper
 
 
 def _hyper(num_clients, samples, total_steps, local_steps, clients_per_round,
-           batch_size, seed=0):
+           batch_size, seed=0, storage_mode=FULL_HISTORY):
     return HyperParams(
         num_clients=num_clients, samples_per_client=samples,
         total_steps=total_steps, local_steps=local_steps,
         clients_per_round=clients_per_round, batch_size=batch_size,
         lr=0.1, rho_sample=0.5, rho_client=0.5, seed=seed,
-        storage_mode=FULL_HISTORY,
+        storage_mode=storage_mode,
     )
 
 
@@ -118,27 +121,41 @@ def test_micro_coupling_exact(micro_dataset, kind):
     assert tv_distance(unlearned, retrain) == 0
 
 
+_COUPLING_CONFIGS = [
+    (2, 2, 2, 2, 1, 1),  # multiple local steps per round
+    (2, 2, 2, 1, 2, 1),  # multiset with multiplicity
+    (3, 2, 2, 1, 1, 1),  # three clients
+    (2, 3, 2, 1, 1, 2),  # batch size two of three
+    (2, 2, 4, 2, 1, 1),  # two rounds of two steps
+]
+
+
+# The store mode is one more axis; full-history cases keep their
+# original ids and compact ones end in "-compact".
 @pytest.mark.parametrize(
-    "num_clients,samples,total_steps,local_steps,clients_per_round,batch_size",
+    "num_clients,samples,total_steps,local_steps,clients_per_round,batch_size,"
+    "storage_mode",
     [
-        (2, 2, 2, 2, 1, 1),  # multiple local steps per round
-        (2, 2, 2, 1, 2, 1),  # multiset with multiplicity
-        (3, 2, 2, 1, 1, 1),  # three clients
-        (2, 3, 2, 1, 1, 2),  # batch size two of three
-        (2, 2, 4, 2, 1, 1),  # two rounds of two steps
+        pytest.param(
+            *config, mode,
+            id="-".join(map(str, config)) + ("-compact" if mode == COMPACT else ""),
+        )
+        for mode in (FULL_HISTORY, COMPACT)
+        for config in _COUPLING_CONFIGS
     ],
 )
 @pytest.mark.parametrize("kind", ["sample", "client"])
 def test_coupling_exact_across_configs(
     num_clients, samples, total_steps, local_steps, clients_per_round,
-    batch_size, kind,
+    batch_size, kind, storage_mode,
 ):
-    """The deletion transport equals retrain-from-scratch exactly on
+    """The shipped deletion rule equals retrain-from-scratch exactly on
     every enumerable configuration, including multiplicity, multiple
-    local steps, and larger batches."""
+    local steps (mid-round starts), and larger batches, on both store
+    modes."""
     dataset = _dataset(num_clients, samples)
     hyper = _hyper(num_clients, samples, total_steps, local_steps,
-                   clients_per_round, batch_size)
+                   clients_per_round, batch_size, storage_mode=storage_mode)
     cid = dataset.client_ids[-1]
     if kind == "sample":
         if batch_size > samples - 1:
@@ -153,6 +170,42 @@ def test_coupling_exact_across_configs(
     unlearned = unlearned_history_distribution(hyper, dataset, request)
     retrain = enumerate_history_distribution(hyper, reduced)
     assert tv_distance(unlearned, retrain) == 0
+
+
+def _never_recompute(request, mode, first_use, multisets, records, local_steps):
+    return None, ReplayPlan()
+
+
+def _redraw_whole_suffix(request, mode, first_use, multisets, records, local_steps):
+    return first_use, ReplayPlan()
+
+
+@pytest.mark.parametrize(
+    "mutant,kind",
+    [
+        (_never_recompute, "sample"),
+        (_never_recompute, "client"),
+        (_redraw_whole_suffix, "sample"),
+    ],
+)
+def test_certifier_runs_the_shipped_rule(monkeypatch, mutant, kind):
+    """The certifier takes what a deletion keeps from unlearn.couple, so
+    a broken rule shows as TV > 0."""
+    dataset = _dataset(2, 3)
+    hyper = _hyper(2, 3, 3, 1, 1, 2)
+    cid = dataset.client_ids[-1]
+    if kind == "sample":
+        uid = dataset.client(cid).uids[0]
+        reduced = remove_sample(dataset, cid, uid)
+    else:
+        uid = None
+        reduced = remove_client(dataset, cid)
+    request = UnlearnRequest(kind=kind, target_client=cid, target_uid=uid,
+                             issue_step=hyper.total_steps)
+    retrain = enumerate_history_distribution(hyper, reduced)
+    assert tv_distance(unlearned_history_distribution(hyper, dataset, request), retrain) == 0
+    monkeypatch.setattr(stability, "couple", mutant)
+    assert tv_distance(unlearned_history_distribution(hyper, dataset, request), retrain) > 0
 
 
 def test_sample_coupling_infeasible_after_deletion(micro_dataset):

@@ -27,6 +27,8 @@ from fedunlab.unlearn import (
     unlearn_request,
 )
 
+from conftest import micro_hyper
+
 
 def _setup(seed=0, mode=FULL_HISTORY, num_clients=4, samples=5, total_steps=8,
            local_steps=2, batch_size=2, clients_per_round=2):
@@ -306,6 +308,35 @@ def test_failed_deletion_leaves_store_untouched():
     assert outcomes[1].action in (NOOP, PARTIAL_RETRAIN)
     assert reduced.client(client_id).has_uid(uid)
     assert not reduced.has_client(other)
+
+
+def test_stream_rejects_emptying_a_client(micro_dataset):
+    """A request that would leave a client empty is rejected inside a
+    stream: the store keeps the state of the requests before it and the
+    stream goes on."""
+    hyper = micro_hyper()
+    loss = make_loss("quadratic", 1)
+    store = HistoryStore(FULL_HISTORY, hyper.local_steps)
+    run_fats(1, hyper, micro_dataset, store, loss)
+    first_uid, second_uid = micro_dataset.client(1).uids
+    first = UnlearnRequest(kind="sample", target_client=1, target_uid=first_uid,
+                           issue_step=hyper.total_steps)
+    second = UnlearnRequest(kind="sample", target_client=1, target_uid=second_uid,
+                            issue_step=hyper.total_steps)
+    reference = store.copy()
+    _, after_first = unlearn_request(first, reference, micro_dataset, hyper, loss)
+    with pytest.raises(EmptyFederationError):
+        unlearn_request(second, reference.copy(), after_first, hyper, loss)
+    outcomes, reduced = process_stream(
+        [first, second, first], store, micro_dataset, hyper, loss
+    )
+    assert [o.action for o in outcomes][1:] == [REJECTED, STALE]
+    assert outcomes[1].probes == 0
+    np.testing.assert_array_equal(
+        outcomes[1].final_model, reference.latest_global_model()
+    )
+    assert store.state_equal(reference)
+    assert reduced.client(1).uids == (second_uid,)
 
 
 # ----------------------------------------------------------------------
