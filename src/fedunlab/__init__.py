@@ -64,7 +64,7 @@ from .stability import (
     tv_distance,
     unlearned_history_distribution,
 )
-from .store import HistoryStore, IterationRecord, load_checkpoint, save_checkpoint
+from .store import HistoryStore, load_checkpoint, save_checkpoint
 from .unlearn import UnlearnOutcome, parse_request_line, process_stream, unlearn_request
 
 __version__ = "0.1.0"
@@ -89,7 +89,6 @@ __all__ = [
     "InfeasibleBatchError",
     "InfeasibleBudgetError",
     "InvalidArgumentError",
-    "IterationRecord",
     "LogisticLoss",
     "LossModel",
     "ModeMismatchError",

@@ -5,7 +5,8 @@ Subcommands:
   train      train from a dataset and write a checkpoint
   unlearn    service one deletion request against a checkpoint; the
              store mode recorded in the checkpoint picks partial
-             re-computation (full_history) or retraining (compact)
+             re-computation (full_history) or retraining (compact),
+             under the loss recorded in the checkpoint
   stream     service a file of deletion requests in order
   verify     exact distributional-equivalence check on a small setup
   bench      run an experiment config end to end
@@ -124,7 +125,7 @@ def _print_outcome(outcome: UnlearnOutcome) -> None:
 def cmd_unlearn(args: argparse.Namespace) -> int:
     dataset = _read_dataset(args.data)
     store, hyper = load_checkpoint(args.checkpoint, dataset)
-    loss = make_loss(args.loss, dataset.clients[0].points[0].features.size)
+    loss = make_loss(store.loss_name, dataset.clients[0].points[0].features.size)
     request = UnlearnRequest(
         kind=args.kind,
         target_client=args.client,
@@ -135,8 +136,9 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
     _print_outcome(outcome)
     if outcome.action == REJECTED:
         print(
-            f"error: the reduced data cannot supply batches of {hyper.batch_size}; "
-            "store and dataset left unchanged",
+            "error: the deletion would leave a client or the federation empty, or "
+            f"unable to supply batches of {hyper.batch_size}; store and dataset "
+            "left unchanged",
             file=sys.stderr,
         )
         return 1
@@ -153,7 +155,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
 def cmd_stream(args: argparse.Namespace) -> int:
     dataset = _read_dataset(args.data)
     store, hyper = load_checkpoint(args.checkpoint, dataset)
-    loss = make_loss(args.loss, dataset.clients[0].points[0].features.size)
+    loss = make_loss(store.loss_name, dataset.clients[0].points[0].features.size)
     requests = []
     with open(args.requests, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -287,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unlearn", help="service one deletion request")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--loss", choices=["quadratic", "logistic"], default="quadratic")
     p.add_argument("--kind", choices=["sample", "client"], required=True)
     p.add_argument("--client", type=int, required=True)
     p.add_argument("--uid", type=int, default=None)
@@ -299,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stream", help="service a request file in order")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--loss", choices=["quadratic", "logistic"], default="quadratic")
     p.add_argument("--requests", required=True,
                    help="text file, one request per line: kind,client,uid|-,issue_step")
     p.add_argument("--out", default=None)

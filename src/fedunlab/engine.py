@@ -8,11 +8,13 @@ selected client then performs one mini-batch SGD step per iteration
 At a round end the multiplicity-weighted mean of the local models
 becomes the new global model.
 
-Every sampling decision and every post-step local model is recorded in
+Every sampling decision and every round's global model is recorded in
 the history store, which is what makes deletions verifiable in O(1) and
-re-computation possible from any iteration. Re-execution of a suffix is
-bit-identical as long as the store's epoch is unchanged, because every
-draw is keyed by (seed, purpose, epoch, iteration context).
+re-computation possible from any iteration: local models are not
+stored, so a re-run recomputes them from its round's start. Re-execution
+of a suffix is bit-identical as long as the store's epoch is unchanged,
+because every draw is keyed by (seed, purpose, epoch, iteration
+context).
 """
 
 from __future__ import annotations
@@ -105,13 +107,16 @@ def run_fats(
     """Execute iterations start_iteration..total_steps and return the
     final global model.
 
-    Starting from 1 requires an initial model (zeros by default) and an
-    empty or overwritable store. Starting mid-history resumes from the
-    store: at a round boundary only the previous global model is needed;
-    inside a round the recorded multiset and every selected client's
-    local model from the previous iteration are loaded. Records at or
-    after start_iteration are discarded and rewritten; the epoch is not
-    advanced here, so re-running the same suffix is bit-identical.
+    Starting from 1 requires an initial model (zeros by default),
+    overwrites the store and records the loss's name on it. Starting
+    later resumes the store, under the loss it was trained with, from
+    the global model before start_iteration's round. The store keeps no
+    local models, so a start inside a round re-runs the round from its
+    start with its recorded multiset and the batches before
+    start_iteration pinned: the same operations on the same rows, so the
+    models come out bit-identical. Records from the re-run's start on
+    are discarded and rewritten; the epoch is not advanced here, so
+    re-running the same suffix is bit-identical.
     """
     total = hyper.total_steps
     steps = hyper.local_steps
@@ -139,64 +144,51 @@ def run_fats(
     pinned_multisets, pinned_batches = plan.round_multisets, plan.batches
 
     first_round = store.round_of(start_iteration)
-    mid_round = start_iteration != store.round_start_iteration(first_round)
-
-    multiset: tuple[int, ...] | None = None
-    locals_: dict[int, np.ndarray] = {}
-    if mid_round:
-        multiset = store.round_multiset(first_round)
-        if multiset is None:
-            raise CorruptedHistoryError(
-                f"mid-round start at t={start_iteration} but round "
-                f"{first_round} has no recorded multiset"
+    run_from = store.round_start_iteration(first_round)
+    if start_iteration == 1:
+        theta = np.zeros(loss.dim) if theta0 is None else np.asarray(theta0, dtype=np.float64)
+        if theta.shape != (loss.dim,):
+            raise InvalidArgumentError("theta0 has the wrong dimension")
+    else:
+        if store.loss_name != loss.name:
+            raise InvalidArgumentError(
+                f"the store was trained under the {store.loss_name} loss, not {loss.name}"
             )
+        theta = store.global_model(first_round - 1)
+        if theta is None:
+            raise CorruptedHistoryError(
+                f"no global model recorded for round {first_round - 1}"
+            )
+    if run_from < start_iteration:
+        recorded = store.round_multiset(first_round)
         pinned = pinned_multisets.get(first_round)
-        if pinned is not None and pinned != multiset:
+        if pinned is not None and pinned != recorded:
             raise CorruptedHistoryError(
                 "replay plan disagrees with the stored round multiset"
             )
-        for client_id in sorted(set(multiset)):
-            record = store.iteration_record(start_iteration - 1, client_id)
-            if record is None:
-                raise CorruptedHistoryError(
-                    f"no local model for client {client_id} at t={start_iteration - 1}"
-                )
-            locals_[client_id] = record.local_model.copy()
-    else:
-        if start_iteration == 1:
-            if theta0 is None:
-                theta0 = np.zeros(loss.dim)
-            theta0 = np.asarray(theta0, dtype=np.float64)
-            if theta0.shape != (loss.dim,):
-                raise InvalidArgumentError("theta0 has the wrong dimension")
-        else:
-            theta0 = store.global_model(first_round - 1)
-            if theta0 is None:
-                raise CorruptedHistoryError(
-                    f"no global model recorded for round {first_round - 1}"
-                )
+        pinned_multisets = {**pinned_multisets, first_round: recorded}
+        pinned_batches = dict(pinned_batches)
+        for (t, client_id), batch in store.decisions(run_from)[1]:
+            if t >= start_iteration:
+                break
+            pinned_batches[(t, client_id)] = batch
 
-    store.discard_from(start_iteration)
+    store.discard_from(run_from)
     if start_iteration == 1:
-        store.record_global(0, theta0)
+        store.loss_name = loss.name
+        store.record_global(0, theta)
 
-    theta_global: np.ndarray | None = None
-    for t in range(start_iteration, total + 1):
+    multiset: tuple[int, ...] | None = None
+    locals_: dict[int, np.ndarray] = {}
+    for t in range(run_from, total + 1):
         round_index = store.round_of(t)
         if t == store.round_start_iteration(round_index):
-            pinned = pinned_multisets.get(round_index)
-            if pinned is not None:
-                multiset = pinned
-            else:
+            multiset = pinned_multisets.get(round_index)
+            if multiset is None:
                 rng = substream(seed, DOMAIN_CLIENT_SAMPLING, epoch, round_index)
                 multiset = sample_client_multiset(rng, active, count)
             store.record_round_start(round_index, multiset)
-            broadcast = store.global_model(round_index - 1)
-            if broadcast is None:
-                raise CorruptedHistoryError(
-                    f"no global model recorded for round {round_index - 1}"
-                )
-            locals_ = {cid: broadcast.copy() for cid in set(multiset)}
+            locals_ = {cid: theta.copy() for cid in set(multiset)}
         assert multiset is not None
         for client_id in sorted(set(multiset)):
             pinned_batch = pinned_batches.get((t, client_id))
@@ -218,11 +210,10 @@ def run_fats(
                 client.labels_vector[rows],
             )
             locals_[client_id] = local_step(locals_[client_id], grad, lr)
-            store.record_iteration(t, client_id, batch, locals_[client_id])
+            store.record_iteration(t, client_id, batch)
         if t % steps == 0:
-            theta_global = aggregate(locals_, multiset)
-            store.record_global(round_index, theta_global)
+            theta = aggregate(locals_, multiset)
+            store.record_global(round_index, theta)
             if round_hook is not None:
-                round_hook(round_index, t, theta_global)
-    assert theta_global is not None
-    return theta_global
+                round_hook(round_index, t, theta)
+    return theta

@@ -23,6 +23,7 @@ DIVERSITY_EPS = 1e-12
 class LossModel:
     """Interface for a smooth per-point loss over models in R^dim."""
 
+    name: str  # what make_loss builds it from
     dim: int
 
     def point_loss(self, theta: np.ndarray, features: np.ndarray, label: float) -> float:
@@ -42,6 +43,7 @@ class LossModel:
 class QuadraticLoss(LossModel):
     """Least squares: loss(theta; x, y) = 0.5 * (x . theta - y)^2."""
 
+    name = "quadratic"
     dim: int
 
     def point_loss(self, theta, features, label):
@@ -68,6 +70,7 @@ class LogisticLoss(LossModel):
     loss(theta; x, y) = softplus(x . theta) - y * (x . theta)
     """
 
+    name = "logistic"
     dim: int
 
     @staticmethod

@@ -32,9 +32,10 @@ conditioned on non-involvement. A compact client deletion retrains from
 iteration 1 iff the client was ever selected, which is exact by the
 argument above.
 
-A deletion whose reduced federation cannot supply a batch of
-batch_size points wherever the re-run could draw one is rejected before
-anything is changed, so the store and the dataset stay as they were.
+A deletion that would leave a client or the federation empty, or whose
+reduced federation cannot supply a batch of batch_size points wherever
+the re-run could draw one, is rejected before anything is changed, so
+the store and the dataset stay as they were.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def couple(
 
     first_use is the target's earliest recorded use (None when it was
     never used or the store cannot tell); multisets and records are the
-    recorded (round, multiset) and ((iteration, client), batch) pairs.
-    Returns the iteration the re-run starts at (None: keep the history
+    recorded (round, multiset) and ((iteration, client), batch) pairs,
+    all of them or only those at or after first_use. Returns the iteration the re-run starts at (None: keep the history
     as it is) and the decisions at or after it that the re-run keeps."""
     if mode != FULL_HISTORY:
         return (1 if request.kind == "sample" or first_use is not None else None), ReplayPlan()
@@ -181,25 +182,29 @@ def unlearn_request(
 ) -> tuple[UnlearnOutcome, FederatedDataset]:
     """Service one deletion request exactly. Returns the outcome and the
     reduced dataset, or the unchanged dataset when the request is
-    rejected. Raises NotFoundError when the target is not in the
-    dataset and EmptyFederationError when the deletion would leave a
-    client or the federation empty."""
+    rejected. A request is rejected when the deletion would leave a
+    client or the federation empty, or too small to draw a batch from
+    wherever the re-run could draw one. Raises NotFoundError when the
+    target is not in the dataset."""
     start_time = time.perf_counter()
     client_id = request.target_client
     uid = request.target_uid
     sample = request.kind == "sample"
     full = store.mode == FULL_HISTORY
-    if sample:
-        reduced = remove_sample(dataset, client_id, uid)
+    try:
+        if sample:
+            reduced = remove_sample(dataset, client_id, uid)
+        else:
+            reduced = remove_client(dataset, client_id)
+    except EmptyFederationError:
+        smallest = 0
     else:
-        reduced = remove_client(dataset, client_id)
-
-    # A partial sample re-run redraws only the target client's batches;
-    # every other re-run may draw from any remaining client.
-    if sample and full:
-        smallest = reduced.client(client_id).size
-    else:
-        smallest = reduced.min_client_size()
+        # A partial sample re-run redraws only the target client's
+        # batches; every other re-run may draw from any remaining client.
+        if sample and full:
+            smallest = reduced.client(client_id).size
+        else:
+            smallest = reduced.min_client_size()
     if smallest < hyper.batch_size:
         final = store.latest_global_model()
         return _outcome(request, REJECTED, None, hyper, dataset, start_time, 0, final), dataset
@@ -210,7 +215,8 @@ def unlearn_request(
     else:
         first_use = store.earliest_client_use(client_id)
     probes = store.probes - probes_before
-    multisets, records = store.decisions()
+    # Read lazily: only a full-history sample deletion consumes them.
+    multisets, records = store.decisions(first_use or 1)
     from_iteration, plan = couple(
         request, store.mode, first_use, multisets, records, store.local_steps
     )
@@ -234,8 +240,7 @@ def process_stream(
     loss: LossModel,
 ) -> tuple[list[UnlearnOutcome], FederatedDataset]:
     """Service requests in order. A request whose target is already gone
-    yields a stale outcome. A rejected one, including one that would
-    leave a client or the federation empty, leaves the store and the
+    yields a stale outcome. A rejected one leaves the store and the
     dataset as they were. Either way the stream continues."""
     outcomes: list[UnlearnOutcome] = []
     for request in requests:
@@ -244,9 +249,6 @@ def process_stream(
             outcome, dataset = unlearn_request(request, store, dataset, hyper, loss)
         except NotFoundError:
             outcome = _outcome(request, STALE, None, hyper, dataset, start_time, 0, None)
-        except EmptyFederationError:
-            final = store.latest_global_model()
-            outcome = _outcome(request, REJECTED, None, hyper, dataset, start_time, 0, final)
         outcomes.append(outcome)
     return outcomes, dataset
 

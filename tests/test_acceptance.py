@@ -22,7 +22,7 @@ from fedunlab.data import (
     remove_client,
     remove_sample,
 )
-from fedunlab.engine import run_fats
+from fedunlab.engine import ReplayPlan, run_fats
 from fedunlab.losses import global_grad, make_loss
 from fedunlab.stability import (
     enumerate_history_distribution,
@@ -563,30 +563,40 @@ def test_criterion_7_determinism_and_prefix_preservation():
     for client in dataset.clients:
         for candidate in client.uids:
             use = reference.earliest_sample_use(candidate)
-            if use is not None and use > 1:
+            # inside a round, so the re-run recomputes local models
+            if use is not None and use % hyper.local_steps != 1:
                 cid, uid, first_use = client.client_id, candidate, use
                 break
         if uid is not None:
             break
-    assert uid is not None, "need a sample first used after iteration 1"
+    assert uid is not None, "need a sample first used inside a round"
     request = UnlearnRequest(kind="sample", target_client=cid,
                              target_uid=uid, issue_step=8)
-    unlearn_request(request, store, dataset, hyper, loss)
-    prefix_ok = True
-    prefix_records = 0
-    for (t, rec_cid), record in reference.iter_records():
-        if t >= first_use:
-            continue
-        after = store.iteration_record(t, rec_cid)
-        prefix_records += 1
-        if (after is None or after.batch_uids != record.batch_uids
-                or not np.array_equal(after.local_model, record.local_model)):
-            prefix_ok = False
+    _, reduced = unlearn_request(request, store, dataset, hyper, loss)
+    before = dict(reference.decisions(1)[1])
+    after = dict(store.decisions(1)[1])
+    prefix = {key: batch for key, batch in before.items() if key[0] < first_use}
+    prefix_records = len(prefix)
+    prefix_ok = all(after.get(key) == batch for key, batch in prefix.items()) and all(
+        np.array_equal(store.global_model(r), reference.global_model(r))
+        for r in range((first_use - 1) // hyper.local_steps + 1)
+    )
+    # The re-run recomputed the local models of its first round from the
+    # round's start; replaying the whole new history from theta0 must
+    # give the same global models bit for bit.
+    plan = ReplayPlan(dict(store.decisions(1)[0]), after)
+    replayed = HistoryStore(FULL_HISTORY, 2)
+    run_fats(1, hyper, reduced, replayed, loss, replay=plan)
+    recomputed_ok = all(
+        np.array_equal(replayed.global_model(r), store.global_model(r))
+        for r in range(hyper.rounds + 1)
+    )
     _report(
         7, "determinism-replay",
-        deterministic and prefix_ok and prefix_records > 0,
-        f"two runs bit-identical; {prefix_records} prefix records "
-        f"before t={first_use} preserved bit-exactly across deletion",
+        deterministic and prefix_ok and recomputed_ok and prefix_records > 0,
+        f"two runs bit-identical; {prefix_records} prefix records and the "
+        f"global models before t={first_use} preserved bit-exactly across "
+        f"deletion; a replay of the new history recomputes its models exactly",
     )
 
 

@@ -18,9 +18,11 @@ from fedunlab.bench import (
     unlearning_efficiency_report,
 )
 from fedunlab.cli import main as cli_main
-from fedunlab.data import UnlearnRequest, generate_synthetic
+from fedunlab.data import UnlearnRequest, generate_synthetic, import_dataset
 from fedunlab.errors import InvalidArgumentError
-from fedunlab.unlearn import NOOP, PARTIAL_RETRAIN, UnlearnOutcome
+from fedunlab.losses import make_loss
+from fedunlab.store import load_checkpoint
+from fedunlab.unlearn import NOOP, PARTIAL_RETRAIN, UnlearnOutcome, unlearn_request
 
 
 def _config_dict(output_dir, **overrides):
@@ -281,6 +283,57 @@ def test_cli_unlearn_rejected(tmp_path, capsys):
     ]) == 1
     assert "rejected" in capsys.readouterr().out
     assert not os.path.exists(ckpt2)
+    # one point per client, b = 1: deleting a point would empty its client
+    assert cli_main([
+        "gen-data", "--num-clients", "2", "--samples-per-client", "1",
+        "--dim", "2", "--seed", "5", "--out", data,
+    ]) == 0
+    assert cli_main([
+        "train", "--data", data, "--total-steps", "2", "--local-steps", "1",
+        "--rho-sample", "1.0", "--rho-client", "1.0", "--lr", "0.05",
+        "--out", ckpt,
+    ]) == 0
+    assert "b=1" in capsys.readouterr().out
+    assert cli_main([
+        "unlearn", "--data", data, "--checkpoint", ckpt, "--kind", "sample",
+        "--client", "0", "--uid", "0", "--out", ckpt2,
+    ]) == 1
+    assert "rejected" in capsys.readouterr().out
+    assert not os.path.exists(ckpt2)
+
+
+def test_cli_unlearn_uses_the_checkpoint_loss(tmp_path, capsys):
+    """unlearn re-computes under the loss the checkpoint was trained
+    with: its result equals an in-process logistic deletion."""
+    data = str(tmp_path / "data.txt")
+    ckpt = str(tmp_path / "ckpt.txt")
+    ckpt2 = str(tmp_path / "ckpt2.txt")
+    assert cli_main([
+        "gen-data", "--num-clients", "3", "--samples-per-client", "4",
+        "--dim", "2", "--seed", "5", "--out", data,
+    ]) == 0
+    assert cli_main([
+        "train", "--data", data, "--loss", "logistic", "--total-steps", "8",
+        "--local-steps", "2", "--rho-sample", "0.5", "--rho-client", "0.5",
+        "--lr", "0.05", "--seed", "3", "--out", ckpt,
+    ]) == 0
+    with open(data, encoding="utf-8") as handle:
+        dataset = import_dataset(handle.read())
+    store, hyper = load_checkpoint(ckpt, dataset)
+    assert store.loss_name == "logistic"
+    client_id, uid = next(
+        (client.client_id, uid) for client in dataset.clients for uid in client.uids
+        if store.earliest_sample_use(uid) is not None
+    )
+    assert cli_main([
+        "unlearn", "--data", data, "--checkpoint", ckpt, "--kind", "sample",
+        "--client", str(client_id), "--uid", str(uid), "--out", ckpt2,
+    ]) == 0
+    assert "partial_retrain" in capsys.readouterr().out
+    request = UnlearnRequest("sample", client_id, uid, hyper.total_steps)
+    _, reduced = unlearn_request(request, store, dataset, hyper, make_loss("logistic", 2))
+    served, _ = load_checkpoint(ckpt2, reduced)
+    assert served.state_equal(store)
 
 
 def test_cli_verify(capsys):

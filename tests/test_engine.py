@@ -123,7 +123,7 @@ def test_run_fats_forced_trajectory_matches_hand_sgd():
         theta = theta - 0.1 * (2.0 * theta - 1.0) * 2.0
     assert final[0] == pytest.approx(theta, rel=1e-15)
     assert store.round_multiset(2) == (0,)
-    assert store.iteration_record(2, 0).batch_uids == (0,)
+    assert dict(store.decisions(1)[1])[(2, 0)] == (0,)
 
 
 # ----------------------------------------------------------------------
@@ -155,14 +155,32 @@ def test_run_fats_seed_changes_history(small_dataset):
 @pytest.mark.parametrize("start", [3, 4, 5])
 def test_run_fats_suffix_rerun_is_bit_identical(small_dataset, start):
     """Re-executing any suffix against an unchanged epoch reproduces the
-    original records and final model exactly, including mid-round starts."""
-    hyper = _hyper()
+    original records and final model exactly, including mid-round starts:
+    with two local steps 3 and 5 start rounds, with three 3 and 5 are
+    inside one, after a prune to the start as well as on the whole store."""
     loss = make_loss("quadratic", 2)
+    for local_steps in (2, 3):
+        hyper = _hyper(local_steps=local_steps)
+        store = HistoryStore(FULL_HISTORY, local_steps)
+        final = run_fats(1, hyper, small_dataset, store, loss)
+        reference = store.copy()
+        final_again = run_fats(start, hyper, small_dataset, store, loss)
+        assert np.array_equal(final, final_again)
+        assert store.state_equal(reference)
+        store.discard_from(start)
+        final_again = run_fats(start, hyper, small_dataset, store, loss)
+        assert np.array_equal(final, final_again)
+        assert store.state_equal(reference)
+
+
+def test_run_fats_resume_needs_the_trained_loss(small_dataset):
+    hyper = _hyper()
     store = HistoryStore(FULL_HISTORY, hyper.local_steps)
-    final = run_fats(1, hyper, small_dataset, store, loss)
+    run_fats(1, hyper, small_dataset, store, make_loss("logistic", 2))
+    assert store.loss_name == "logistic"
     reference = store.copy()
-    final_again = run_fats(start, hyper, small_dataset, store, loss)
-    assert np.array_equal(final, final_again)
+    with pytest.raises(InvalidArgumentError):
+        run_fats(3, hyper, small_dataset, store, make_loss("quadratic", 2))
     assert store.state_equal(reference)
 
 
@@ -203,8 +221,8 @@ def test_replay_plan_pins_decisions(small_dataset):
     plan = ReplayPlan()
     for r in (1, 2, 3):
         plan.round_multisets[r] = store.round_multiset(r)
-    for (t, cid), record in store.iter_records():
-        plan.batches[(t, cid)] = record.batch_uids
+    for (t, cid), batch in store.decisions(1)[1]:
+        plan.batches[(t, cid)] = batch
     replayed = HistoryStore(FULL_HISTORY, hyper.local_steps)
     # different seed and epoch cannot matter: every decision is pinned
     replayed.epoch = 5

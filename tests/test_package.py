@@ -9,6 +9,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import fedunlab
@@ -54,3 +56,13 @@ def test_perfbench_traced_methods_exist():
         for method in methods:
             assert method in vars(cls), f"{owner}.{method} is not defined in the class body"
     assert inspect.isfunction(fedunlab.unlearn.build_sample_replay_plan)
+
+
+def test_perfbench_selftest_passes():
+    """Every benchmark check accepts the real outputs and rejects broken
+    ones, so a store or codec change that breaks a check fails here."""
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]

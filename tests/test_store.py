@@ -23,14 +23,14 @@ def _filled_store(local_steps=2):
     store = HistoryStore(FULL_HISTORY, local_steps)
     store.record_global(0, np.zeros(2))
     store.record_round_start(1, (0, 1))
-    store.record_iteration(1, 0, (3, 5), np.array([0.1, 0.2]))
-    store.record_iteration(1, 1, (8,), np.array([0.3, 0.4]))
-    store.record_iteration(2, 0, (4, 5), np.array([0.5, 0.6]))
-    store.record_iteration(2, 1, (9,), np.array([0.7, 0.8]))
+    store.record_iteration(1, 0, (3, 5))
+    store.record_iteration(1, 1, (8,))
+    store.record_iteration(2, 0, (4, 5))
+    store.record_iteration(2, 1, (9,))
     store.record_global(1, np.array([0.4, 0.5]))
     store.record_round_start(2, (1, 1))
-    store.record_iteration(3, 1, (8,), np.array([1.0, 1.1]))
-    store.record_iteration(4, 1, (7,), np.array([1.2, 1.3]))
+    store.record_iteration(3, 1, (8,))
+    store.record_iteration(4, 1, (7,))
     store.record_global(2, np.array([1.2, 1.3]))
     return store
 
@@ -52,7 +52,7 @@ def test_recording_and_lookup():
     store = _filled_store()
     assert store.round_multiset(1) == (0, 1)
     assert store.round_multiset(3) is None
-    assert store.iteration_record(2, 0).batch_uids == (4, 5)
+    assert dict(store.decisions(1)[1])[(2, 0)] == (4, 5)
     np.testing.assert_array_equal(store.global_model(1), [0.4, 0.5])
     np.testing.assert_array_equal(store.latest_global_model(), [1.2, 1.3])
     assert store.next_iteration == 5
@@ -64,16 +64,47 @@ def test_multiset_must_be_sorted():
         store.record_round_start(1, (2, 1))
 
 
+def test_decisions_since_yield_only_the_suffix():
+    store = _filled_store()
+    multisets, records = store.decisions(1)
+    assert list(multisets) == [(1, (0, 1)), (2, (1, 1))]
+    assert [key for key, _ in records] == [(1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (4, 1)]
+    multisets, records = store.decisions(2)
+    assert list(multisets) == [(2, (1, 1))]
+    assert list(records) == [((2, 0), (4, 5)), ((2, 1), (9,)), ((3, 1), (8,)), ((4, 1), (7,))]
+    multisets, records = store.decisions(5)
+    assert list(multisets) == [] and list(records) == []
+
+
 def test_round_start_gap_rejected():
     store = HistoryStore(FULL_HISTORY, 2)
     with pytest.raises(CorruptedHistoryError):
         store.record_round_start(2, (0,))
+    # a round that starts before the next iteration is rejected too
+    store = _filled_store()
+    with pytest.raises(CorruptedHistoryError):
+        store.record_round_start(2, (0, 1))
 
 
 def test_out_of_order_iteration_rejected():
     store = _filled_store()
     with pytest.raises(CorruptedHistoryError):
-        store.record_iteration(3, 1, (9,), np.zeros(2))
+        store.record_iteration(3, 1, (9,))
+    # a client at most once per iteration
+    with pytest.raises(CorruptedHistoryError):
+        store.record_iteration(4, 1, (8,))
+    # an iteration outside the last recorded round
+    with pytest.raises(CorruptedHistoryError):
+        store.record_iteration(5, 1, (8,))
+    # the compact store keeps the same order
+    compact = HistoryStore(COMPACT, 2)
+    compact.record_global(0, np.zeros(1))
+    compact.record_round_start(1, (0,))
+    compact.record_iteration(1, 0, (1,))
+    for t in (1, 3):
+        with pytest.raises(CorruptedHistoryError):
+            compact.record_iteration(t, 0, (2,))
+    assert store.next_iteration == 5 and compact.next_iteration == 2
 
 
 # ----------------------------------------------------------------------
@@ -89,27 +120,11 @@ def test_earliest_sample_use_single_probe():
     assert store.earliest_sample_use(999) is None
 
 
-def test_earliest_sample_use_through_cutoff():
-    store = _filled_store()
-    assert store.earliest_sample_use(7, through=3) is None
-    assert store.earliest_sample_use(7, through=4) == 4
-
-
 def test_earliest_client_use_round_based():
     store = _filled_store()
     assert store.earliest_client_use(0) == 1
     assert store.earliest_client_use(1) == 1
     assert store.earliest_client_use(5) is None
-    # through is interpreted at round granularity
-    store2 = HistoryStore(FULL_HISTORY, 2)
-    store2.record_global(0, np.zeros(1))
-    store2.record_round_start(1, (0,))
-    store2.record_iteration(1, 0, (1,), np.zeros(1))
-    store2.record_iteration(2, 0, (1,), np.zeros(1))
-    store2.record_global(1, np.zeros(1))
-    store2.record_round_start(2, (2,))
-    assert store2.earliest_client_use(2, through=2) is None
-    assert store2.earliest_client_use(2, through=3) == 3
 
 
 def test_involvement_flags_full_mode():
@@ -123,7 +138,7 @@ def test_involvement_flags_full_mode():
     compact = HistoryStore(COMPACT, 2)
     compact.record_global(0, np.zeros(1))
     compact.record_round_start(1, (0,))
-    compact.record_iteration(1, 0, (1,), np.zeros(1))
+    compact.record_iteration(1, 0, (1,))
     assert compact.earliest_client_use(0) == 1
     with pytest.raises(ModeMismatchError):
         compact.earliest_sample_use(1)
@@ -141,8 +156,9 @@ def test_discard_from_keeps_epoch_prune_bumps_it():
     assert clone.epoch == epoch
     assert clone.next_iteration == 3
     assert clone.round_multiset(2) is None
-    assert clone.iteration_record(3, 1) is None
-    assert clone.iteration_record(2, 0) is not None
+    kept = dict(clone.decisions(1)[1])
+    assert (3, 1) not in kept
+    assert (2, 0) in kept
 
     store.prune_after(3)
     assert store.epoch == epoch + 1
@@ -163,13 +179,83 @@ def test_compact_prune_only_full_reset():
     store = HistoryStore(COMPACT, 2)
     store.record_global(0, np.zeros(1))
     store.record_round_start(1, (0,))
-    store.record_iteration(1, 0, (1,), np.zeros(1))
-    store.record_iteration(2, 0, (2,), np.zeros(1))
+    store.record_iteration(1, 0, (1,))
+    store.record_iteration(2, 0, (2,))
     with pytest.raises(ModeMismatchError):
         store.discard_from(2)
     store.prune_after(1)
     assert store.next_iteration == 1
     assert store.earliest_client_use(0) is None
+
+
+def _trained_three_step_store():
+    from fedunlab.data import HyperParams
+
+    dataset = generate_synthetic(
+        num_clients=3, samples_per_client=5, dim=2, classes=2, beta=0.5, seed=4
+    )
+    hyper = HyperParams(
+        num_clients=3, samples_per_client=5, total_steps=12, local_steps=3,
+        clients_per_round=2, batch_size=2, lr=0.05, rho_sample=0.5,
+        rho_client=0.5, seed=8, storage_mode=FULL_HISTORY,
+    )
+    store = HistoryStore(FULL_HISTORY, 3)
+    run_fats(1, hyper, dataset, store, make_loss("quadratic", 2))
+    return dataset, store
+
+
+def _rerecorded_prefix(store, cut):
+    """A fresh store given, through record_*, the records of store
+    before iteration cut."""
+    steps = store.local_steps
+    fresh = HistoryStore(FULL_HISTORY, steps)
+    fresh.loss_name = store.loss_name
+    fresh.record_global(0, store.global_model(0))
+    multisets, records = store.decisions(1)
+    records = list(records)
+    for r, multiset in multisets:
+        start = store.round_start_iteration(r)
+        if start >= cut:
+            break
+        fresh.record_round_start(r, multiset)
+        for (t, client_id), batch in records:
+            if start <= t < min(start + steps, cut):
+                fresh.record_iteration(t, client_id, batch)
+        if r * steps < cut:
+            fresh.record_global(r, store.global_model(r))
+    return fresh
+
+
+def _scanned_uses(history, steps):
+    """uid -> earliest iteration and client -> earliest round start, by
+    a scan of history_tuple()."""
+    samples, clients = {}, {}
+    for r, (multiset, body) in enumerate(history, start=1):
+        for client_id in multiset:
+            clients.setdefault(client_id, (r - 1) * steps + 1)
+        for _, batches in body:
+            for step, batch in enumerate(batches):
+                for uid in batch:
+                    t = (r - 1) * steps + step + 1
+                    samples[uid] = min(samples.get(uid, t), t)
+    return samples, clients
+
+
+def test_discard_from_equals_rerecorded_prefix():
+    """For every cut, discarding from it leaves exactly the prefix
+    re-recorded into a fresh store, and the indices answer as a scan of
+    the kept history does."""
+    dataset, store = _trained_three_step_store()
+    uids = [uid for client in dataset.clients for uid in client.uids]
+    for cut in range(1, store.next_iteration + 1):
+        pruned = store.copy()
+        pruned.discard_from(cut)
+        assert pruned.state_equal(_rerecorded_prefix(store, cut)), cut
+        samples, clients = _scanned_uses(pruned.history_tuple(), store.local_steps)
+        for uid in uids:
+            assert pruned.earliest_sample_use(uid) == samples.get(uid), (cut, uid)
+        for client_id in dataset.client_ids:
+            assert pruned.earliest_client_use(client_id) == clients.get(client_id)
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +297,8 @@ def test_state_equal_detects_differences():
     a = _filled_store()
     b = _filled_store()
     assert a.state_equal(b)
-    b.record_iteration(5, 0, (3,), np.zeros(2))
+    b.record_round_start(3, (0,))
+    b.record_iteration(5, 0, (3,))
     assert not a.state_equal(b)
 
 
@@ -297,3 +384,25 @@ def test_checkpoint_resume_continues_training(tmp_path, micro_dataset):
     final_resumed = run_fats(3, resumed_hyper, micro_dataset, resumed, loss)
     assert np.array_equal(final, final_resumed)
     assert resumed.state_equal(full_store)
+
+
+def test_checkpoint_rejects_v1_and_out_of_order_records(tmp_path, micro_dataset):
+    hyper = micro_hyper()
+    store = HistoryStore(FULL_HISTORY, 1)
+    run_fats(1, hyper, micro_dataset, store, make_loss("quadratic", 1))
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(store, hyper, micro_dataset, str(path))
+    lines = path.read_text().splitlines()
+    old = tmp_path / "v1.txt"
+    old.write_text("\n".join(["fedunlab-ckpt v1 encoding=decimal-text"] + lines[1:]) + "\n")
+    with pytest.raises(CheckpointFormatError, match="v1"):
+        load_checkpoint(str(old))
+    old.write_text("\n".join(line.replace("mode full_history", "mode other") for line in lines) + "\n")
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(str(old))
+    iters = [i for i, line in enumerate(lines) if line.startswith("iter ")]
+    first, last = iters[0], iters[-1]
+    lines[first], lines[last] = lines[last], lines[first]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(str(path))

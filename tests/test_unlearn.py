@@ -13,7 +13,7 @@ from fedunlab.data import (
     remove_sample,
 )
 from fedunlab.engine import run_fats
-from fedunlab.errors import EmptyFederationError, InvalidArgumentError, NotFoundError
+from fedunlab.errors import InvalidArgumentError, NotFoundError
 from fedunlab.losses import make_loss
 from fedunlab.store import HistoryStore
 from fedunlab.unlearn import (
@@ -98,13 +98,13 @@ def test_unlearn_sample_removes_target_everywhere():
     assert outcome.probes == 1
     assert outcome.from_iteration is not None
     assert outcome.retrained_iterations == hyper.total_steps - outcome.from_iteration + 1
-    for (t, cid), record in store.iter_records():
+    for (t, cid), batch in store.decisions(1)[1]:
         if cid == client_id:
-            assert uid not in record.batch_uids
+            assert uid not in batch
     # every stored batch is drawable from the reduced federation
-    for (t, cid), record in store.iter_records():
+    for (t, cid), batch in store.decisions(1)[1]:
         client = reduced.client(cid)
-        assert set(record.batch_uids) <= set(client.uids)
+        assert set(batch) <= set(client.uids)
 
 
 def test_unlearn_sample_preserves_prefix_and_uninvolved_batches():
@@ -115,20 +115,23 @@ def test_unlearn_sample_preserves_prefix_and_uninvolved_batches():
     request = UnlearnRequest(kind="sample", target_client=client_id,
                              target_uid=uid, issue_step=hyper.total_steps)
     unlearn_request(request, store, dataset, hyper, loss)
-    # records strictly before the first use are bit-identical
-    for (t, cid), record in reference.iter_records():
-        if t < first_use:
-            after = store.iteration_record(t, cid)
-            assert after.batch_uids == record.batch_uids
-            assert np.array_equal(after.local_model, record.local_model)
+    before = dict(reference.decisions(1)[1])
+    after = dict(store.decisions(1)[1])
+    # records strictly before the first use are identical, and so are the
+    # global models of the rounds that end before it
+    assert {k: b for k, b in after.items() if k[0] < first_use} == {
+        k: b for k, b in before.items() if k[0] < first_use
+    }
+    for r in range(0, (first_use - 1) // hyper.local_steps + 1):
+        assert np.array_equal(store.global_model(r), reference.global_model(r))
     # round multisets never change under sample deletion
     for r in range(1, hyper.rounds + 1):
         assert store.round_multiset(r) == reference.round_multiset(r)
     # batches not containing the uid are reused verbatim at every t
-    for (t, cid), record in reference.iter_records():
-        if cid == client_id and uid in record.batch_uids:
+    for key, batch in before.items():
+        if key[1] == client_id and uid in batch:
             continue
-        assert store.iteration_record(t, cid).batch_uids == record.batch_uids
+        assert after[key] == batch
 
 
 def test_unlearn_sample_epoch_advances_only_on_recompute():
@@ -185,17 +188,12 @@ def test_unlearn_client_prunes_from_first_selection():
     # the client appears nowhere afterward
     for r in range(1, hyper.rounds + 1):
         assert client_id not in store.round_multiset(r)
-    for (t, cid), _ in store.iter_records():
+    for (t, cid), _ in store.decisions(1)[1]:
         assert cid != client_id
     # prefix rounds before the first selection are bit-identical
-    for r in range(1, first_round):
-        assert store.round_multiset(r) == reference.round_multiset(r)
-        for t in range((r - 1) * hyper.local_steps + 1, r * hyper.local_steps + 1):
-            for cid in set(reference.round_multiset(r)):
-                before = reference.iteration_record(t, cid)
-                after = store.iteration_record(t, cid)
-                assert after.batch_uids == before.batch_uids
-                assert np.array_equal(after.local_model, before.local_model)
+    assert store.history_tuple()[:first_round - 1] == reference.history_tuple()[:first_round - 1]
+    for r in range(first_round):
+        assert np.array_equal(store.global_model(r), reference.global_model(r))
 
 
 def test_unlearn_client_keeps_per_round_count():
@@ -228,19 +226,21 @@ def test_unlearn_client_noop_when_never_selected():
 
 
 def test_unlearn_client_last_client_forbidden(micro_dataset):
-    from conftest import micro_hyper
+    from fedunlab.data import remove_client
 
     hyper = micro_hyper()
     loss = make_loss("quadratic", 1)
     store = HistoryStore(FULL_HISTORY, 1)
     run_fats(1, hyper, micro_dataset, store, loss)
-    from fedunlab.data import remove_client
-
+    reference = store.copy()
     reduced = remove_client(micro_dataset, 0)
     request = UnlearnRequest(kind="client", target_client=1,
                              target_uid=None, issue_step=2)
-    with pytest.raises(EmptyFederationError):
-        unlearn_request(request, store, reduced, hyper, loss)
+    outcome, returned = unlearn_request(request, store, reduced, hyper, loss)
+    assert outcome.action == REJECTED
+    assert outcome.probes == 0
+    assert returned is reduced
+    assert store.state_equal(reference)
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +325,8 @@ def test_stream_rejects_emptying_a_client(micro_dataset):
                             issue_step=hyper.total_steps)
     reference = store.copy()
     _, after_first = unlearn_request(first, reference, micro_dataset, hyper, loss)
-    with pytest.raises(EmptyFederationError):
-        unlearn_request(second, reference.copy(), after_first, hyper, loss)
+    outcome, returned = unlearn_request(second, reference.copy(), after_first, hyper, loss)
+    assert outcome.action == REJECTED and returned is after_first
     outcomes, reduced = process_stream(
         [first, second, first], store, micro_dataset, hyper, loss
     )
