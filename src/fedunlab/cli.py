@@ -40,6 +40,7 @@ from .data import (
 )
 from .engine import run_fats
 from .errors import FedUnlabError
+from .fileio import atomic_open
 from .losses import make_loss
 from .stability import (
     enumerate_history_distribution,
@@ -77,7 +78,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     text = export_dataset(dataset)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with atomic_open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(f"wrote {dataset.num_clients} clients, {dataset.total_points} points to {args.out}")
     return 0
@@ -96,7 +97,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         storage_mode=args.storage_mode,
     )
-    loss = make_loss(args.loss, dataset.clients[0].points[0].features.size)
+    loss = make_loss(args.loss, dataset.dim)
     store = HistoryStore(hyper.storage_mode, hyper.local_steps)
     final = run_fats(1, hyper, dataset, store, loss)
     save_checkpoint(store, hyper, dataset, args.out)
@@ -125,7 +126,7 @@ def _print_outcome(outcome: UnlearnOutcome) -> None:
 def cmd_unlearn(args: argparse.Namespace) -> int:
     dataset = _read_dataset(args.data)
     store, hyper = load_checkpoint(args.checkpoint, dataset)
-    loss = make_loss(store.loss_name, dataset.clients[0].points[0].features.size)
+    loss = make_loss(store.loss_name, dataset.dim)
     request = UnlearnRequest(
         kind=args.kind,
         target_client=args.client,
@@ -146,7 +147,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
         save_checkpoint(store, hyper, reduced, args.out)
         print(f"updated checkpoint at {args.out}")
     if args.data_out:
-        with open(args.data_out, "w", encoding="utf-8") as handle:
+        with atomic_open(args.data_out, "w", encoding="utf-8") as handle:
             handle.write(export_dataset(reduced))
         print(f"reduced dataset at {args.data_out}")
     return 0
@@ -155,7 +156,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
 def cmd_stream(args: argparse.Namespace) -> int:
     dataset = _read_dataset(args.data)
     store, hyper = load_checkpoint(args.checkpoint, dataset)
-    loss = make_loss(store.loss_name, dataset.clients[0].points[0].features.size)
+    loss = make_loss(store.loss_name, dataset.dim)
     requests = []
     with open(args.requests, "r", encoding="utf-8") as handle:
         for line in handle:

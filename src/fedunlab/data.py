@@ -1,17 +1,20 @@
 """Federated dataset model, synthetic generation, and deletion surgery.
 
-A federation is a fixed set of clients, each holding an ordered list of
-points with globally unique integer uids. Deletion operations return new
-dataset objects; uids of surviving points never change, which is what
-lets recorded mini-batches be replayed after a deletion.
+A federation is a fixed set of clients, each holding its points as
+columns (uids, feature matrix, labels) in a fixed order, with globally
+unique integer uids. Deletion operations return new dataset objects that
+share every untouched client; uids of surviving points never change,
+which is what lets recorded mini-batches be replayed after a deletion.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -28,74 +31,107 @@ COMPACT = "compact"
 _STORAGE_MODES = (FULL_HISTORY, COMPACT)
 
 
-@dataclass(frozen=True)
-class DataPoint:
-    """One training sample: a feature vector, a scalar label, and a uid
-    that stays stable across deletions of other points."""
+class DataPoint(NamedTuple):
+    """One point of a client, read out of its columns: the uid, the
+    feature row (a read-only view) and the label."""
 
     uid: int
     features: np.ndarray
     label: float
 
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 1 or feats.size == 0:
-            raise InvalidArgumentError("features must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(feats)):
-            raise InvalidArgumentError(f"non-finite features for uid {self.uid}")
-        if not math.isfinite(self.label):
-            raise InvalidArgumentError(f"non-finite label for uid {self.uid}")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "label", float(self.label))
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientDataset:
-    """Ordered collection of points held by one client.
-
-    Feature and label arrays are cached as matrices so mini-batch
-    gradients can be computed without per-point Python overhead.
-    """
+    """One client's points as columns, in the client's order: a uid
+    array, a read-only feature matrix with one row per point and a
+    label vector. The uid tuple, the uid -> row index and the digest are
+    computed on first use and cached; a client never changes."""
 
     client_id: int
-    points: tuple[DataPoint, ...]
-    features_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    labels_vector: np.ndarray = field(init=False, repr=False, compare=False)
+    uid_array: np.ndarray
+    features_matrix: np.ndarray
+    labels_vector: np.ndarray
 
     def __post_init__(self) -> None:
-        uids = [p.uid for p in self.points]
-        if len(set(uids)) != len(uids):
+        uids = np.asarray(self.uid_array)
+        if uids.size and uids.dtype.kind not in "iu":
+            raise InvalidArgumentError(f"client {self.client_id}: uids must be integers")
+        try:
+            uids = np.array(uids, dtype=np.int64)
+            feats = np.array(self.features_matrix, dtype=np.float64)
+            labels = np.array(self.labels_vector, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidArgumentError(f"client {self.client_id}: {exc}") from None
+        rows = uids.shape[0] if uids.ndim == 1 else -1
+        if feats.ndim != 2 or feats.shape[1] == 0 or feats.shape[0] != rows \
+                or labels.shape != (rows,):
+            raise InvalidArgumentError(
+                f"client {self.client_id}: need n uids, an n x d feature matrix with "
+                f"d >= 1 and n labels; got shapes {uids.shape}, {feats.shape}, {labels.shape}"
+            )
+        if not np.isfinite(feats).all():
+            raise InvalidArgumentError(f"non-finite features in client {self.client_id}")
+        if not np.isfinite(labels).all():
+            raise InvalidArgumentError(f"non-finite label in client {self.client_id}")
+        if len(set(uids.tolist())) != rows:
             raise InvalidArgumentError(f"duplicate uids in client {self.client_id}")
-        dims = {p.features.size for p in self.points}
-        if len(dims) > 1:
-            raise InvalidArgumentError("inconsistent feature dimension within client")
-        if self.points:
-            mat = np.stack([p.features for p in self.points]).astype(np.float64)
-            labels = np.array([p.label for p in self.points], dtype=np.float64)
-        else:
-            mat = np.zeros((0, 0), dtype=np.float64)
-            labels = np.zeros(0, dtype=np.float64)
-        mat.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "features_matrix", mat)
-        object.__setattr__(self, "labels_vector", labels)
-        object.__setattr__(self, "_row_of", {uid: i for i, uid in enumerate(uids)})
-        object.__setattr__(self, "_uids", tuple(uids))
+        object.__setattr__(self, "uid_array", _read_only(uids))
+        object.__setattr__(self, "features_matrix", _read_only(feats))
+        object.__setattr__(self, "labels_vector", _read_only(labels))
+
+    def _without_row(self, row: int) -> "ClientDataset":
+        """This client without one row, built from its validated columns
+        with no new checks."""
+        keep = np.arange(self.size - 1)
+        keep[row:] += 1
+        client = object.__new__(ClientDataset)
+        object.__setattr__(client, "client_id", self.client_id)
+        for name in ("uid_array", "features_matrix", "labels_vector"):
+            object.__setattr__(client, name, _read_only(getattr(self, name).take(keep, 0)))
+        return client
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.uid_array)
 
     @property
+    def dim(self) -> int:
+        return self.features_matrix.shape[1]
+
+    @cached_property
     def uids(self) -> tuple[int, ...]:
-        return self._uids  # type: ignore[attr-defined]
+        return tuple(self.uid_array.tolist())
+
+    @cached_property
+    def _row_of(self) -> dict[int, int]:
+        return {uid: row for row, uid in enumerate(self.uids)}
+
+    @property
+    def points(self) -> tuple[DataPoint, ...]:
+        """The points as (uid, features, label) tuples, built on each call."""
+        return tuple(map(DataPoint, self.uids, self.features_matrix, self.labels_vector.tolist()))
+
+    @cached_property
+    def digest(self) -> bytes:
+        """blake2b of the client id, the column shapes and the columns'
+        little-endian bytes."""
+        h = hashlib.blake2b(digest_size=16)
+        h.update(f"client {self.client_id} rows={self.size} dim={self.dim}\n".encode())
+        h.update(np.ascontiguousarray(self.uid_array, dtype="<i8"))
+        h.update(np.ascontiguousarray(self.features_matrix, dtype="<f8"))
+        h.update(np.ascontiguousarray(self.labels_vector, dtype="<f8"))
+        return h.digest()
 
     def has_uid(self, uid: int) -> bool:
-        return uid in self._row_of  # type: ignore[attr-defined]
+        return uid in self._row_of
 
     def rows_for(self, uids: Iterable[int]) -> np.ndarray:
-        row_of = self._row_of  # type: ignore[attr-defined]
+        row_of = self._row_of
         try:
             return np.fromiter((row_of[u] for u in uids), dtype=np.intp)
         except KeyError as exc:
@@ -106,7 +142,8 @@ class ClientDataset:
 
 @dataclass(frozen=True)
 class FederatedDataset:
-    """All clients plus the generation metadata needed for export."""
+    """All clients plus the generation metadata needed for export. Every
+    client's feature rows are dim wide."""
 
     clients: tuple[ClientDataset, ...]
     classes: int
@@ -120,11 +157,27 @@ class FederatedDataset:
             raise InvalidArgumentError("duplicate client ids")
         all_uids: set[int] = set()
         for c in self.clients:
+            if c.dim != self.dim:
+                raise InvalidArgumentError(
+                    f"client {c.client_id} has {c.dim} features per point; the "
+                    f"federation has {self.dim}"
+                )
             overlap = all_uids.intersection(c.uids)
             if overlap:
                 raise InvalidArgumentError(f"uids {sorted(overlap)} appear in two clients")
             all_uids.update(c.uids)
         object.__setattr__(self, "_by_id", {c.client_id: c for c in self.clients})
+
+    def _with_clients(self, clients: tuple[ClientDataset, ...]) -> "FederatedDataset":
+        """This federation's metadata with clients taken from it, or cut
+        from its clients, so construction's checks still hold and are
+        skipped."""
+        dataset = object.__new__(FederatedDataset)
+        for name in ("classes", "dim", "declared_samples_per_client", "seed"):
+            object.__setattr__(dataset, name, getattr(self, name))
+        object.__setattr__(dataset, "clients", clients)
+        object.__setattr__(dataset, "_by_id", {c.client_id: c for c in clients})
+        return dataset
 
     @property
     def num_clients(self) -> int:
@@ -381,12 +434,10 @@ def generate_synthetic(
         counts = _largest_remainder_counts(proportions, samples_per_client)
         labels = np.repeat(np.arange(classes), counts)
         rng.shuffle(labels)
-        points = []
-        for label in labels:
-            feats = rng.normal(loc=means[label], scale=1.0, size=dim)
-            points.append(DataPoint(uid=next_uid, features=feats, label=float(label)))
-            next_uid += 1
-        clients.append(ClientDataset(client_id=client_id, points=tuple(points)))
+        features = rng.normal(loc=means[labels], scale=1.0, size=(samples_per_client, dim))
+        uids = np.arange(next_uid, next_uid + samples_per_client)
+        next_uid += samples_per_client
+        clients.append(ClientDataset(client_id, uids, features, labels))
     return FederatedDataset(
         clients=tuple(clients),
         classes=classes,
@@ -398,24 +449,18 @@ def generate_synthetic(
 
 def remove_sample(dataset: FederatedDataset, client_id: int, uid: int) -> FederatedDataset:
     """Return a copy of the federation without one point. Order and uids
-    of all other points are unchanged."""
+    of all other points are unchanged, and every other client is the
+    same object."""
     client = dataset.client(client_id)
-    if not client.has_uid(uid):
+    row = client._row_of.get(uid)
+    if row is None:
         raise NotFoundError(f"uid {uid} not in client {client_id}")
     if client.size == 1:
         raise EmptyFederationError(
             f"removing uid {uid} would leave client {client_id} empty"
         )
-    new_points = tuple(p for p in client.points if p.uid != uid)
-    new_client = ClientDataset(client_id=client_id, points=new_points)
-    clients = tuple(new_client if c.client_id == client_id else c for c in dataset.clients)
-    return FederatedDataset(
-        clients=clients,
-        classes=dataset.classes,
-        dim=dataset.dim,
-        declared_samples_per_client=dataset.declared_samples_per_client,
-        seed=dataset.seed,
-    )
+    reduced = client._without_row(row)
+    return dataset._with_clients(tuple(reduced if c is client else c for c in dataset.clients))
 
 
 def remove_client(dataset: FederatedDataset, client_id: int) -> FederatedDataset:
@@ -424,13 +469,7 @@ def remove_client(dataset: FederatedDataset, client_id: int) -> FederatedDataset
     clients = tuple(c for c in dataset.clients if c.client_id != client_id)
     if not clients:
         raise EmptyFederationError("removing the last client leaves an empty federation")
-    return FederatedDataset(
-        clients=clients,
-        classes=dataset.classes,
-        dim=dataset.dim,
-        declared_samples_per_client=dataset.declared_samples_per_client,
-        seed=dataset.seed,
-    )
+    return dataset._with_clients(clients)
 
 
 _EXPORT_HEADER = "fedunlab-dataset v1 encoding=decimal-text"
@@ -454,9 +493,10 @@ def export_dataset(dataset: FederatedDataset) -> str:
     )
     for client in dataset.clients:
         lines.append(f"client {client.client_id}")
-        for p in client.points:
-            feats = ",".join(repr(float(x)) for x in p.features)
-            lines.append(f"point {p.uid} {repr(p.label)} {feats}")
+        for uid, feats, label in zip(
+            client.uids, client.features_matrix.tolist(), client.labels_vector.tolist()
+        ):
+            lines.append(f"point {uid} {label!r} {','.join(map(repr, feats))}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -472,44 +512,44 @@ def import_dataset(text: str) -> FederatedDataset:
     if len(meta) != 6 or meta[0] != "meta":
         raise InvalidArgumentError("malformed meta record")
     fields = dict(part.split("=", 1) for part in meta[1:])
-    clients: list[ClientDataset] = []
-    current_id: int | None = None
-    current_points: list[DataPoint] = []
-
-    def flush() -> None:
-        if current_id is not None:
-            clients.append(ClientDataset(client_id=current_id, points=tuple(current_points)))
-
+    dim = int(fields["dim"])
+    columns: list[tuple[int, list[int], list[list[float]], list[float]]] = []
     for line in lines[2:-1]:
         parts = line.split(" ", 3)
         if parts[0] == "client":
-            flush()
-            current_id = int(parts[1])
-            current_points = []
+            columns.append((int(parts[1]), [], [], []))
         elif parts[0] == "point":
-            if current_id is None:
+            if not columns:
                 raise InvalidArgumentError("point record before any client record")
-            uid = int(parts[1])
-            label = float(parts[2])
-            feats = np.array([float(x) for x in parts[3].split(",")], dtype=np.float64)
-            current_points.append(DataPoint(uid=uid, features=feats, label=label))
+            _, uids, features, labels = columns[-1]
+            uids.append(int(parts[1]))
+            labels.append(float(parts[2]))
+            features.append([float(x) for x in parts[3].split(",")])
         else:
             raise InvalidArgumentError(f"unknown record type {parts[0]!r}")
-    flush()
+    clients = tuple(
+        ClientDataset(client_id, uids, features or np.empty((0, dim)), labels)
+        for client_id, uids, features, labels in columns
+    )
     return FederatedDataset(
-        clients=tuple(clients),
+        clients=clients,
         classes=int(fields["classes"]),
-        dim=int(fields["dim"]),
+        dim=dim,
         declared_samples_per_client=int(fields["declared_samples"]),
         seed=int(fields["seed"]),
     )
 
 
 def dataset_digest(dataset: FederatedDataset) -> str:
-    """64-bit FNV-1a digest of the canonical export, as 16 hex chars."""
-    data = export_dataset(dataset).encode("utf-8")
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return f"{h:016x}"
+    """blake2b of the metadata and of every client's cached digest, in
+    client order, as 32 hex chars. A dataset that shares clients with
+    one already hashed hashes only its new clients."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(
+        f"fedunlab-dataset clients={dataset.num_clients} "
+        f"declared_samples={dataset.declared_samples_per_client} dim={dataset.dim} "
+        f"classes={dataset.classes} seed={dataset.seed}\n".encode()
+    )
+    for client in dataset.clients:
+        h.update(client.digest)
+    return h.hexdigest()

@@ -23,7 +23,9 @@ next_iteration - 1, and a client appears at most once per iteration.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 
 import numpy as np
 
@@ -35,20 +37,18 @@ from .errors import (
     InvalidArgumentError,
     ModeMismatchError,
 )
+from .fileio import atomic_open
 
-_CKPT_HEADER = "fedunlab-ckpt v2 encoding=decimal-text"
-
-
-def _fmt_vec(vec: np.ndarray) -> str:
-    return ",".join(repr(float(x)) for x in vec)
-
-
-def _parse_vec(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")], dtype=np.float64)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+_CKPT_HEADER = b"fedunlab-ckpt v3 encoding=npy\n"
+_CKPT_END = b"end\n"
+# The arrays of a checkpoint, in file order. A full-history store fills
+# the first six, a compact one the two eround columns; globals holds one
+# model per row.
+_CKPT_ARRAYS = (
+    "multiset_clients", "multiset_sizes", "iteration_records", "record_clients",
+    "batch_sizes", "batch_uids", "eround_clients", "eround_rounds", "globals",
+)
+_INT32 = np.iinfo(np.int32)
 
 
 class HistoryStore:
@@ -325,95 +325,188 @@ class HistoryStore:
 # checkpoint serialization
 
 
+def _int_column(values: list[int]) -> np.ndarray:
+    """values as little-endian int32 when they fit, else int64."""
+    column = np.array(values, dtype=np.int64)
+    if column.size == 0 or (column.min() >= _INT32.min and column.max() <= _INT32.max):
+        return column.astype("<i4")
+    return column.astype("<i8")
+
+
+def _checkpoint_arrays(store: HistoryStore, dim: int) -> list[np.ndarray]:
+    """The columns of _CKPT_ARRAYS for store, in that order."""
+    full = store.mode == FULL_HISTORY
+    multisets = store._multisets if full else []
+    iterations = store._batches if full else []
+    batches = [batch for records in iterations for batch in records.items()]
+    eround = [] if full else sorted(store._earliest_round.items())
+    models = np.array(store._globals, dtype="<f8") if store._globals else np.empty((0, dim), "<f8")
+    if models.ndim != 2 or models.shape[1] != dim:
+        raise InvalidArgumentError(
+            f"the store's models do not have the dataset's {dim} weights each"
+        )
+    return [
+        _int_column([client for multiset in multisets for client in multiset]),
+        _int_column([len(multiset) for multiset in multisets]),
+        _int_column([len(records) for records in iterations]),
+        _int_column([client for client, _ in batches]),
+        _int_column([len(batch) for _, batch in batches]),
+        _int_column([uid for _, batch in batches for uid in batch]),
+        _int_column([client for client, _ in eround]),
+        _int_column([round_index for _, round_index in eround]),
+        models,
+    ]
+
+
 def save_checkpoint(
     store: HistoryStore,
     hyper: HyperParams,
     dataset: FederatedDataset,
     path: str,
 ) -> None:
-    """Write a self-describing, version-tagged text checkpoint that
-    round-trips the store bit-exactly. Its body lists the records in
-    recording order, so loading replays them through the store's own
-    record_* methods and their order checks. The dataset itself is not
-    stored; its digest is, so resuming against different data fails
-    fast."""
-    lines = [_CKPT_HEADER]
-    lines.append(f"digest {dataset_digest(dataset)}")
-    lines.append(f"mode {store.mode}")
-    lines.append(f"epoch {store.epoch}")
-    lines.append(f"next_iteration {store.next_iteration}")
-    lines.append(f"loss {store.loss_name or '-'}")
-    lines.append(f"hyper {json.dumps(hyper.__dict__, sort_keys=True)}")
-    models = store._globals
-    if store.mode == FULL_HISTORY:
-        rounds = max(len(store._multisets), len(models) - 1)
-        for r in range(rounds + 1):
-            if 1 <= r <= len(store._multisets):
-                lines.append(f"round {r} {','.join(map(str, store._multisets[r - 1]))}")
-                start = store.round_start_iteration(r)
-                for t in range(start, min(start + store.local_steps, store.next_iteration)):
-                    for client_id, batch in store._batches[t - 1].items():
-                        lines.append(f"iter {t} {client_id} {','.join(map(str, batch))}")
-            if r < len(models):
-                lines.append(f"global {r} {_fmt_vec(models[r])}")
+    """Write a self-describing, version-tagged binary checkpoint that
+    round-trips the store bit-exactly: a header line, one line of JSON
+    metadata, the arrays of _CKPT_ARRAYS in .npy format, and an end
+    marker. The arrays list the records in recording order, so loading
+    replays them through the store's own record_* methods and their
+    order checks. The dataset itself is not stored; its digest and
+    dimension are, so resuming against different data fails fast. The
+    file is replaced atomically: a failed save leaves the old one."""
+    meta = {
+        "arrays": list(_CKPT_ARRAYS),
+        "digest": dataset_digest(dataset),
+        "dim": dataset.dim,
+        "epoch": store.epoch,
+        "hyper": hyper.__dict__,
+        "latest_round": store._latest_round,
+        "loss": store.loss_name,
+        "mode": store.mode,
+        "next_iteration": store.next_iteration,
+    }
+    arrays = _checkpoint_arrays(store, dataset.dim)
+    with atomic_open(path, "wb") as handle:
+        handle.write(_CKPT_HEADER)
+        handle.write(json.dumps(meta, sort_keys=True).encode() + b"\n")
+        for array in arrays:
+            np.save(handle, array, allow_pickle=False)
+        handle.write(_CKPT_END)
+
+
+def _read_array(data: memoryview, stream: io.BytesIO) -> np.ndarray:
+    """The next .npy array of stream, a view of data, with its size
+    checked against the bytes left before anything is allocated."""
+    if np.lib.format.read_magic(stream) != (1, 0):
+        raise ValueError("unsupported .npy version")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    if fortran_order or dtype.hasobject:
+        raise ValueError("array is not a plain C-ordered numeric array")
+    count = math.prod(shape)
+    start = stream.tell()
+    end = start + count * dtype.itemsize
+    if count < 0 or end > len(data):
+        raise ValueError("array runs past the end of the file")
+    stream.seek(end)
+    return np.frombuffer(data, dtype=dtype, count=count, offset=start).reshape(shape)
+
+
+def _split(values: list[int], sizes: list[int]) -> list[tuple[int, ...]]:
+    """values cut into consecutive tuples of the given sizes."""
+    if min(sizes, default=0) < 0 or sum(sizes) != len(values):
+        raise ValueError("array sizes do not add up")
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(tuple(values[start:start + size]))
+        start += size
+    return parts
+
+
+def _replay(store: HistoryStore, columns: dict[str, list], models: np.ndarray,
+            latest_round: int) -> None:
+    """Record the checkpoint's columns into an empty store in recording
+    order, through record_* and their order checks."""
+    other_mode = _CKPT_ARRAYS[6:8] if store.mode == FULL_HISTORY else _CKPT_ARRAYS[:6]
+    if any(columns[name] for name in other_mode):
+        raise ValueError(f"a {store.mode} checkpoint holds columns of the other mode")
+    multisets = _split(columns["multiset_clients"], columns["multiset_sizes"])
+    batches = _split(columns["batch_uids"], columns["batch_sizes"])
+    clients = columns["record_clients"]
+    if len(clients) != len(batches) or min(columns["iteration_records"], default=0) < 0:
+        raise ValueError("record counts do not add up")
+    record = rounds = 0
+    for t, count in enumerate(columns["iteration_records"], start=1):
+        if (t - 1) % store.local_steps == 0:
+            store.record_round_start(rounds + 1, multisets[rounds])
+            rounds += 1
+        for client, batch in zip(clients[record:record + count], batches[record:record + count]):
+            store.record_iteration(t, client, batch)
+        record += count
+    if record != len(clients):
+        raise ValueError("records left over after the last iteration")
+    for multiset in multisets[rounds:]:
+        rounds += 1
+        store.record_round_start(rounds, multiset)
+    for client, round_index in zip(columns["eround_clients"], columns["eround_rounds"]):
+        store._earliest_round[client] = round_index
+    if store.mode == COMPACT:
+        if len(models) > 2 or (len(models) == 2) != (latest_round > 0):
+            raise ValueError("a compact store holds the initial and the latest model")
+        for round_index, model in zip((0, latest_round), models):
+            store.record_global(round_index, model)
     else:
-        for client_id in sorted(store._earliest_round):
-            lines.append(f"eround {client_id} {store._earliest_round[client_id]}")
-        for r, model in zip((0, store._latest_round), models):
-            lines.append(f"global {r} {_fmt_vec(model)}")
-    lines.append("end")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        for round_index, model in enumerate(models):
+            store.record_global(round_index, model)
 
 
 def load_checkpoint(
     path: str, dataset: FederatedDataset | None = None
 ) -> tuple[HistoryStore, HyperParams]:
-    """Load a checkpoint; verify the dataset digest when one is given."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != _CKPT_HEADER:
-        found = lines[0] if lines else ""
+    """Load a checkpoint; verify the dataset digest when one is given.
+    Any malformed, truncated or other-version file raises
+    CheckpointFormatError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if not data.startswith(_CKPT_HEADER):
+        found = data.split(b"\n", 1)[0][:80].decode("utf-8", "replace")
         raise CheckpointFormatError(
-            f"unsupported checkpoint header {found!r}; expected {_CKPT_HEADER!r}"
+            f"unsupported checkpoint header {found!r}; expected "
+            f"{_CKPT_HEADER.decode().strip()!r}"
         )
-    if lines[-1] != "end":
+    if not data.endswith(_CKPT_END):
         raise CheckpointFormatError("truncated checkpoint (missing end marker)")
-    fields: dict[str, str] = {}
-    body: list[str] = []
-    for line in lines[1:-1]:
-        key, _, rest = line.partition(" ")
-        if key in ("digest", "mode", "epoch", "next_iteration", "loss", "hyper"):
-            fields[key] = rest
-        else:
-            body.append(line)
+    body = memoryview(data)[:len(data) - len(_CKPT_END)]
+    stream = io.BytesIO(body)
+    stream.seek(len(_CKPT_HEADER))
     try:
-        hyper = HyperParams(**json.loads(fields["hyper"]))
-        mode = fields["mode"]
-        epoch = int(fields["epoch"])
-        next_iteration = int(fields["next_iteration"])
-        loss_name = fields["loss"]
-        digest = fields["digest"]
-    except (KeyError, ValueError, TypeError) as exc:
+        meta = json.loads(stream.readline())
+        hyper = HyperParams(**meta["hyper"])
+        mode, digest, dim = meta["mode"], meta["digest"], int(meta["dim"])
+        epoch, next_iteration = int(meta["epoch"]), int(meta["next_iteration"])
+        latest_round, loss_name = int(meta["latest_round"]), meta["loss"]
+        if meta["arrays"] != list(_CKPT_ARRAYS):
+            raise ValueError(f"array list {meta['arrays']!r}")
+    except (KeyError, ValueError, TypeError, InvalidArgumentError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint metadata: {exc}") from exc
     if dataset is not None and dataset_digest(dataset) != digest:
         raise DigestMismatchError(
             "checkpoint was produced against a different dataset"
         )
     try:
+        arrays = dict(zip(_CKPT_ARRAYS, (_read_array(body, stream) for _ in _CKPT_ARRAYS)))
+        if stream.tell() != len(body):
+            raise ValueError("bytes left over after the last array")
+        models = arrays.pop("globals")
+        if models.dtype != np.float64 or models.ndim != 2 or models.shape[1] != dim:
+            raise ValueError(
+                f"global models of shape {models.shape} and type {models.dtype}; "
+                f"expected float64 rows of width {dim}"
+            )
+        columns = {}
+        for name, array in arrays.items():
+            if array.ndim != 1 or array.dtype.kind != "i":
+                raise ValueError(f"{name} is not a 1-d integer array")
+            columns[name] = array.tolist()
         store = HistoryStore(mode, hyper.local_steps)
-        for line in body:
-            kind, *parts = line.split(" ")
-            if kind == "round":
-                store.record_round_start(int(parts[0]), _parse_ints(parts[1]))
-            elif kind == "iter":
-                store.record_iteration(int(parts[0]), int(parts[1]), _parse_ints(parts[2]))
-            elif kind == "global":
-                store.record_global(int(parts[0]), _parse_vec(parts[1]))
-            elif kind == "eround" and mode == COMPACT:
-                store._earliest_round[int(parts[0])] = int(parts[1])
-            else:
-                raise CheckpointFormatError(f"unknown record type {kind!r}")
+        _replay(store, columns, models, latest_round)
     except (IndexError, ValueError, CorruptedHistoryError, InvalidArgumentError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint record: {exc}") from exc
     if mode == COMPACT:
@@ -424,5 +517,5 @@ def load_checkpoint(
             f"{next_iteration - 1}"
         )
     store.epoch = epoch
-    store.loss_name = None if loss_name == "-" else loss_name
+    store.loss_name = loss_name
     return store, hyper

@@ -336,6 +336,33 @@ def test_cli_unlearn_uses_the_checkpoint_loss(tmp_path, capsys):
     assert served.state_equal(store)
 
 
+def test_cli_unlearn_replaces_its_inputs_in_place(tmp_path, capsys):
+    """--out and --data-out may name the files unlearn read: each is
+    replaced whole, and no temporary file is left behind."""
+    data = str(tmp_path / "data.txt")
+    ckpt = str(tmp_path / "ckpt.bin")
+    assert cli_main([
+        "gen-data", "--num-clients", "3", "--samples-per-client", "4",
+        "--dim", "2", "--seed", "5", "--out", data,
+    ]) == 0
+    assert cli_main([
+        "train", "--data", data, "--total-steps", "8", "--local-steps", "2",
+        "--rho-sample", "0.5", "--rho-client", "0.5", "--lr", "0.05", "--out", ckpt,
+    ]) == 0
+    with open(data, encoding="utf-8") as handle:
+        dataset = import_dataset(handle.read())
+    uid = dataset.client(1).uids[0]
+    assert cli_main([
+        "unlearn", "--data", data, "--checkpoint", ckpt, "--kind", "sample",
+        "--client", "1", "--uid", str(uid), "--out", ckpt, "--data-out", data,
+    ]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.bin", "data.txt"]
+    with open(data, encoding="utf-8") as handle:
+        reduced = import_dataset(handle.read())
+    assert not reduced.client(1).has_uid(uid)
+    load_checkpoint(ckpt, reduced)
+
+
 def test_cli_verify(capsys):
     assert cli_main(["verify", "--kind", "sample"]) == 0
     assert cli_main(["verify", "--kind", "client"]) == 0

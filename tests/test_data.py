@@ -1,5 +1,9 @@
 """Dataset construction, budget derivation, deletion, serialization."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,8 @@ from hypothesis import strategies as st
 
 from fedunlab.data import (
     FULL_HISTORY,
+    ClientDataset,
+    FederatedDataset,
     HyperParams,
     dataset_digest,
     derive_sampling_sizes,
@@ -303,3 +309,101 @@ def test_digest_changes_on_deletion(micro_dataset):
     assert dataset_digest(micro_dataset) != dataset_digest(
         remove_sample(micro_dataset, 0, uid)
     )
+
+
+# ----------------------------------------------------------------------
+# columns, digest and pinned bytes
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _two_clients(width_of_second=2):
+    return (
+        ClientDataset(0, [0, 1], [[1.0, -2.0], [0.5, 3.25]], [0.0, 1.0]),
+        ClientDataset(4, [7], [[-0.0, 1e-300, 2.0][:width_of_second]], [1.0]),
+    )
+
+
+def test_digest_pinned():
+    dataset = FederatedDataset(
+        clients=_two_clients(), classes=2, dim=2, declared_samples_per_client=2, seed=3
+    )
+    assert dataset_digest(dataset) == "462ae50f921a9afcace62a78d8524d35"
+
+
+def test_generate_synthetic_bytes_pinned():
+    """The whole-client feature draw gives the bytes the per-point draw
+    gave."""
+    dataset = generate_synthetic(
+        num_clients=3, samples_per_client=5, dim=4, classes=3, beta=0.5, seed=11
+    )
+    h = hashlib.blake2b(digest_size=16)
+    for client in dataset.clients:
+        h.update(client.features_matrix.astype("<f8").tobytes())
+        h.update(client.labels_vector.astype("<f8").tobytes())
+    assert h.hexdigest() == "7aaa138fea302e33706773ec5e9865d8"
+
+
+@pytest.mark.parametrize("name, sha256", [
+    ("quickstart", "188f64b1487793b7ddcfadaed8c33a69521a3ac14f2b0e4c898d32978ec251cf"),
+    ("compact_storage", "5c71fd72edafca7651650039c98684ed7b3651c8c5c545d8ab7d099226682ddb"),
+    ("convergence_study", "5c49abd0ddac7e6440ca1ea47c74d3dabd1c6d9893591f9b9d07ea77d9ef6647"),
+])
+def test_export_pinned_for_shipped_configs(name, sha256):
+    """Dataset text format v1 and the generated data stay byte for byte."""
+    spec = json.loads((CONFIGS / f"{name}.json").read_text())["dataset"]
+    dataset = generate_synthetic(**spec)
+    text = export_dataset(dataset)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+    assert export_dataset(import_dataset(text)) == text
+
+
+def test_remove_sample_shares_untouched_clients():
+    dataset = generate_synthetic(
+        num_clients=4, samples_per_client=3, dim=2, classes=2, beta=0.5, seed=1
+    )
+    for target in dataset.client_ids:
+        reduced = remove_sample(dataset, target, dataset.client(target).uids[1])
+        for j in dataset.client_ids:
+            assert (reduced.client(j) is dataset.client(j)) == (j != target)
+        restored = import_dataset(export_dataset(reduced))
+        assert dataset_digest(restored) == dataset_digest(reduced)
+    reduced = remove_client(dataset, 2)
+    assert all(reduced.client(j) is dataset.client(j) for j in reduced.client_ids)
+
+
+def test_points_view_reads_the_columns():
+    client = _two_clients()[0]
+    assert client.uids == (0, 1)
+    assert [(p.uid, p.features.tolist(), p.label) for p in client.points] == [
+        (0, [1.0, -2.0], 0.0), (1, [0.5, 3.25], 1.0),
+    ]
+    with pytest.raises(ValueError):
+        client.points[0].features[0] = 9.0  # read-only view of the matrix
+
+
+def test_federation_rejects_mixed_widths():
+    with pytest.raises(InvalidArgumentError, match="features per point"):
+        FederatedDataset(
+            clients=_two_clients(width_of_second=3), classes=2, dim=2,
+            declared_samples_per_client=2, seed=0,
+        )
+    with pytest.raises(InvalidArgumentError, match="features per point"):
+        FederatedDataset(
+            clients=_two_clients(), classes=2, dim=3, declared_samples_per_client=2, seed=0,
+        )
+
+
+@pytest.mark.parametrize("uids, features, labels", [
+    ([0, 0], [[1.0], [2.0]], [0.0, 1.0]),  # duplicate uid
+    ([0.5, 1], [[1.0], [2.0]], [0.0, 1.0]),  # non-integer uid
+    ([0, 1], [[1.0], [np.nan]], [0.0, 1.0]),  # non-finite feature
+    ([0, 1], [[1.0], [2.0]], [0.0, np.inf]),  # non-finite label
+    ([0, 1], [[1.0], [2.0, 3.0]], [0.0, 1.0]),  # ragged rows
+    ([0, 1], [1.0, 2.0], [0.0, 1.0]),  # features not a matrix
+    ([0, 1], [[1.0], [2.0]], [0.0]),  # one label short
+    ([0, 1], [[], []], [0.0, 1.0]),  # zero-width rows
+])
+def test_client_rejects_malformed_columns(uids, features, labels):
+    with pytest.raises(InvalidArgumentError):
+        ClientDataset(0, uids, features, labels)

@@ -7,7 +7,6 @@ import pytest
 from fedunlab.data import (
     FULL_HISTORY,
     ClientDataset,
-    DataPoint,
     FederatedDataset,
     HyperParams,
     generate_synthetic,
@@ -106,9 +105,8 @@ def test_aggregate_multiplicity_weighting():
 def test_run_fats_forced_trajectory_matches_hand_sgd():
     """One client with one point and b=1 forces every draw, so the run
     is plain SGD on that point and can be checked in closed form."""
-    point = DataPoint(uid=0, features=np.array([2.0]), label=1.0)
     dataset = FederatedDataset(
-        clients=(ClientDataset(client_id=0, points=(point,)),),
+        clients=(ClientDataset(0, uid_array=[0], features_matrix=[[2.0]], labels_vector=[1.0]),),
         classes=2, dim=1, declared_samples_per_client=1, seed=0,
     )
     hyper = _hyper(

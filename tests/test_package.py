@@ -66,3 +66,15 @@ def test_perfbench_selftest_passes():
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats takes most of a second to import; the package loads it
+    only inside the functions that need it."""
+    code = "import sys, fedunlab; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        cwd=Path(fedunlab.__file__).resolve().parent.parent,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -344,3 +344,22 @@ def test_equivalence_mc_single_bin_passes():
     report = equivalence_test_mc(lambda s: "same", lambda s: "same",
                                  trials=100, seed=2)
     assert report.passed
+
+
+def test_chi_square_matches_scipy_bit_for_bit():
+    """The numpy chi-square gives the statistic and p-value of
+    scipy.stats.chi2_contingency(correction=False) to the last bit."""
+    import numpy as np
+    from scipy.stats import chi2_contingency
+
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        columns = int(rng.integers(2, 40))
+        trials = int(rng.integers(columns, 20_000))
+        counts = rng.multinomial(trials, rng.dirichlet(np.ones(columns)), size=2)
+        counts[0] += 1  # no empty column
+        table = counts.tolist()
+        statistic, pvalue = stability._chi_square_2xk(table)
+        expected_statistic, expected_pvalue, _, _ = chi2_contingency(table, correction=False)
+        assert statistic == float(expected_statistic)
+        assert pvalue == float(expected_pvalue)

@@ -1,10 +1,15 @@
 """History store: recording, probing, pruning, storage accounting,
 checkpoints."""
 
+import io
+import json
+import os
+import re
+
 import numpy as np
 import pytest
 
-from fedunlab.data import COMPACT, FULL_HISTORY, generate_synthetic
+from fedunlab.data import COMPACT, FULL_HISTORY, HyperParams, UnlearnRequest, generate_synthetic
 from fedunlab.engine import run_fats
 from fedunlab.errors import (
     CheckpointFormatError,
@@ -15,6 +20,7 @@ from fedunlab.errors import (
 )
 from fedunlab.losses import make_loss
 from fedunlab.store import HistoryStore, load_checkpoint, save_checkpoint
+from fedunlab.unlearn import process_stream
 
 from conftest import micro_hyper
 
@@ -344,12 +350,13 @@ def test_checkpoint_truncation_detected(tmp_path, micro_dataset):
     hyper = micro_hyper()
     store = HistoryStore(FULL_HISTORY, 1)
     run_fats(1, hyper, micro_dataset, store, make_loss("quadratic", 1))
-    path = tmp_path / "ckpt.txt"
+    path = tmp_path / "ckpt.bin"
     save_checkpoint(store, hyper, micro_dataset, str(path))
-    text = path.read_text()
-    path.write_text("\n".join(text.splitlines()[:-2]) + "\n")
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(str(path))
+    data = path.read_bytes()
+    for cut in (0, 10, 40, len(data) // 3, len(data) // 2, len(data) - 40, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(str(path))
 
 
 def test_checkpoint_bad_header(tmp_path):
@@ -386,23 +393,204 @@ def test_checkpoint_resume_continues_training(tmp_path, micro_dataset):
     assert resumed.state_equal(full_store)
 
 
+def _read_v3(path):
+    """(header, metadata, arrays) of a checkpoint, parsed apart from the loader."""
+    header, meta, body = path.read_bytes().split(b"\n", 2)
+    assert body.endswith(b"end\n")
+    stream = io.BytesIO(body[:-4])
+    arrays = [np.load(stream, allow_pickle=False) for _ in json.loads(meta)["arrays"]]
+    assert stream.read() == b""
+    return header, json.loads(meta), arrays
+
+
+def _write_v3(path, header, meta, arrays):
+    with open(path, "wb") as handle:
+        handle.write(header + b"\n" + json.dumps(meta).encode() + b"\n")
+        for array in arrays:
+            np.save(handle, array, allow_pickle=False)
+        handle.write(b"end\n")
+
+
 def test_checkpoint_rejects_v1_and_out_of_order_records(tmp_path, micro_dataset):
     hyper = micro_hyper()
     store = HistoryStore(FULL_HISTORY, 1)
     run_fats(1, hyper, micro_dataset, store, make_loss("quadratic", 1))
-    path = tmp_path / "ckpt.txt"
+    path = tmp_path / "ckpt.bin"
     save_checkpoint(store, hyper, micro_dataset, str(path))
-    lines = path.read_text().splitlines()
-    old = tmp_path / "v1.txt"
-    old.write_text("\n".join(["fedunlab-ckpt v1 encoding=decimal-text"] + lines[1:]) + "\n")
+    header, meta, arrays = _read_v3(path)
+    bad = tmp_path / "bad.bin"
+    _write_v3(bad, header, meta, arrays)
+    assert load_checkpoint(str(bad), micro_dataset)[0].state_equal(store)
+    _write_v3(bad, b"fedunlab-ckpt v1 encoding=decimal-text", meta, arrays)
     with pytest.raises(CheckpointFormatError, match="v1"):
-        load_checkpoint(str(old))
-    old.write_text("\n".join(line.replace("mode full_history", "mode other") for line in lines) + "\n")
+        load_checkpoint(str(bad))
+    _write_v3(bad, header, {**meta, "mode": "other"}, arrays)
     with pytest.raises(CheckpointFormatError):
-        load_checkpoint(str(old))
-    iters = [i for i, line in enumerate(lines) if line.startswith("iter ")]
-    first, last = iters[0], iters[-1]
-    lines[first], lines[last] = lines[last], lines[first]
-    path.write_text("\n".join(lines) + "\n")
+        load_checkpoint(str(bad))
+    # the last round's multiset dropped: its iteration lies outside the rounds
+    names = meta["arrays"]
+    short = list(arrays)
+    sizes = arrays[names.index("multiset_sizes")]
+    short[names.index("multiset_sizes")] = sizes[:-1]
+    short[names.index("multiset_clients")] = arrays[names.index("multiset_clients")][:-sizes[-1]]
+    _write_v3(bad, header, meta, short)
     with pytest.raises(CheckpointFormatError):
-        load_checkpoint(str(path))
+        load_checkpoint(str(bad))
+    # a client recorded twice in one iteration
+    twice = list(arrays)
+    records = arrays[names.index("iteration_records")]
+    twice[names.index("iteration_records")] = np.array([records.sum()] + [0] * (len(records) - 1))
+    twice[names.index("record_clients")] = np.zeros_like(arrays[names.index("record_clients")])
+    _write_v3(bad, header, meta, twice)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(str(bad))
+
+
+def test_checkpoint_rejects_v2_text(tmp_path, micro_dataset):
+    path = tmp_path / "ckpt.txt"
+    path.write_text(
+        "fedunlab-ckpt v2 encoding=decimal-text\ndigest 0\nmode full_history\nend\n"
+    )
+    with pytest.raises(CheckpointFormatError, match="v2"):
+        load_checkpoint(str(path), micro_dataset)
+
+
+def test_checkpoint_rejects_other_width_and_malformed_arrays(tmp_path, micro_dataset):
+    hyper = micro_hyper()
+    store = HistoryStore(FULL_HISTORY, 1)
+    run_fats(1, hyper, micro_dataset, store, make_loss("quadratic", 1))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(store, hyper, micro_dataset, str(path))
+    header, meta, arrays = _read_v3(path)
+    bad = tmp_path / "bad.bin"
+    wide = arrays[:-1] + [np.hstack([arrays[-1], arrays[-1]])]
+    _write_v3(bad, header, meta, wide)
+    with pytest.raises(CheckpointFormatError, match="width 1"):
+        load_checkpoint(str(bad))
+    _write_v3(bad, header, {**meta, "dim": 2}, arrays)
+    with pytest.raises(CheckpointFormatError, match="width 2"):
+        load_checkpoint(str(bad))
+    _write_v3(bad, header, meta, arrays[:1] + [arrays[1].astype(np.float64)] + arrays[2:])
+    with pytest.raises(CheckpointFormatError, match="integer"):
+        load_checkpoint(str(bad))
+    # an array header claiming far more elements than the file holds
+    data = path.read_bytes()
+    match = re.search(rb"'shape': \((\d+),\), \}( +)\n", data)
+    digits, pad = match.group(1), match.group(2)
+    huge = b"9" * (len(digits) + len(pad) - 1)
+    bad.write_bytes(data[:match.start(1)] + huge + b",), } \n" + data[match.end():])
+    with pytest.raises(CheckpointFormatError, match="past the end"):
+        load_checkpoint(str(bad))
+    with pytest.raises(InvalidArgumentError):
+        save_checkpoint(store, hyper, generate_synthetic(
+            num_clients=2, samples_per_client=2, dim=3, classes=2, beta=0.5, seed=7
+        ), str(bad))
+
+
+def _served_store(mode, local_steps=3, total_steps=60):
+    dataset = generate_synthetic(
+        num_clients=5, samples_per_client=6, dim=3, classes=2, beta=0.5, seed=4
+    )
+    hyper = HyperParams(
+        num_clients=5, samples_per_client=6, total_steps=total_steps,
+        local_steps=local_steps, clients_per_round=3, batch_size=2, lr=0.05,
+        rho_sample=0.5, rho_client=0.5, seed=8, storage_mode=mode,
+    )
+    loss = make_loss("logistic", 3)
+    store = HistoryStore(mode, local_steps)
+    run_fats(1, hyper, dataset, store, loss)
+    requests = [
+        UnlearnRequest("sample", 1, dataset.client(1).uids[2], total_steps),
+        UnlearnRequest("client", 3, None, total_steps),
+    ]
+    _, reduced = process_stream(requests, store, dataset, hyper, loss)
+    return store, hyper, reduced, loss
+
+
+@pytest.mark.parametrize("mode", [FULL_HISTORY, COMPACT])
+def test_checkpoint_v3_round_trip_is_exact_and_deterministic(tmp_path, mode):
+    store, hyper, reduced, _ = _served_store(mode)
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_checkpoint(store, hyper, reduced, str(first))
+    save_checkpoint(store, hyper, reduced, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    loaded, loaded_hyper = load_checkpoint(str(first), reduced)
+    assert loaded.state_equal(store) and loaded_hyper == hyper
+    _, meta, arrays = _read_v3(first)
+    assert meta["dim"] == 3
+    assert all(a.dtype == np.dtype("<i4") for a in arrays[:-1])
+    assert arrays[-1].dtype == np.dtype("<f8") and arrays[-1].shape[1] == 3
+    # a mid-round cut of a full store round-trips as well
+    if mode == FULL_HISTORY:
+        store.discard_from(hyper.total_steps - 1)
+        save_checkpoint(store, hyper, reduced, str(first))
+        assert load_checkpoint(str(first), reduced)[0].state_equal(store)
+
+
+def test_checkpoint_keeps_int64_uids(tmp_path):
+    store = HistoryStore(FULL_HISTORY, 1)
+    store.record_global(0, np.zeros(1))
+    store.record_round_start(1, (0,))
+    store.record_iteration(1, 0, (2**40, 3))
+    dataset = generate_synthetic(
+        num_clients=1, samples_per_client=2, dim=1, classes=2, beta=0.5, seed=0
+    )
+    hyper = HyperParams(
+        num_clients=1, samples_per_client=2, total_steps=1, local_steps=1,
+        clients_per_round=1, batch_size=2, lr=0.1, rho_sample=1.0, rho_client=1.0, seed=0,
+    )
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(store, hyper, dataset, str(path))
+    _, meta, arrays = _read_v3(path)
+    assert arrays[meta["arrays"].index("batch_uids")].dtype == np.dtype("<i8")
+    assert load_checkpoint(str(path), dataset)[0].state_equal(store)
+
+
+@pytest.mark.parametrize("mode", [FULL_HISTORY, COMPACT])
+def test_stream_after_load_matches_the_original(tmp_path, mode):
+    """Serving a stream on a loaded store gives the same outcomes,
+    models and store, bit for bit, as serving it on the store saved."""
+    store, hyper, reduced, loss = _served_store(mode)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(store, hyper, reduced, str(path))
+    loaded, _ = load_checkpoint(str(path), reduced)
+    requests = [
+        UnlearnRequest("sample", 0, reduced.client(0).uids[0], hyper.total_steps),
+        UnlearnRequest("client", 2, None, hyper.total_steps),
+        UnlearnRequest("sample", 4, reduced.client(4).uids[5], hyper.total_steps),
+    ]
+    served = [process_stream(requests, s, reduced, hyper, loss) for s in (store, loaded)]
+    (ours, ours_data), (theirs, theirs_data) = served
+    assert loaded.state_equal(store)
+    assert [(o.action, o.from_iteration, o.final_model.tobytes()) for o in ours] == [
+        (o.action, o.from_iteration, o.final_model.tobytes()) for o in theirs
+    ]
+    assert ours_data.client_ids == theirs_data.client_ids
+
+
+def test_failed_save_leaves_the_old_checkpoint(tmp_path, micro_dataset, monkeypatch):
+    hyper = micro_hyper()
+    store = HistoryStore(FULL_HISTORY, 1)
+    run_fats(1, hyper, micro_dataset, store, make_loss("quadratic", 1))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(store, hyper, micro_dataset, str(path))
+    before = path.read_bytes()
+    real_save = np.save
+    calls = []
+
+    def failing_save(handle, array, **kwargs):
+        calls.append(array)
+        if len(calls) == 4:
+            handle.write(b"\x93NUMPY partial")
+            raise OSError("disk gone mid-write")
+        real_save(handle, array, **kwargs)
+
+    monkeypatch.setattr(np, "save", failing_save)
+    store.prune_after(2)
+    with pytest.raises(OSError, match="mid-write"):
+        save_checkpoint(store, hyper, micro_dataset, str(path))
+    assert calls, "the save never reached the array writes"
+    assert os.listdir(tmp_path) == ["ckpt.bin"]
+    assert path.read_bytes() == before
+    loaded, _ = load_checkpoint(str(path), micro_dataset)
+    assert loaded.next_iteration == hyper.total_steps + 1
