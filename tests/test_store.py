@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -593,4 +594,21 @@ def test_failed_save_leaves_the_old_checkpoint(tmp_path, micro_dataset, monkeypa
     assert os.listdir(tmp_path) == ["ckpt.bin"]
     assert path.read_bytes() == before
     loaded, _ = load_checkpoint(str(path), micro_dataset)
+    assert loaded.next_iteration == hyper.total_steps + 1
+
+
+def test_save_keeps_the_mode_and_the_symlink_of_the_target(tmp_path, micro_dataset):
+    hyper = micro_hyper()
+    store = HistoryStore(FULL_HISTORY, 1)
+    run_fats(1, hyper, micro_dataset, store, make_loss("quadratic", 1))
+    target = tmp_path / "ckpt.bin"
+    target.write_bytes(b"old")
+    target.chmod(0o600)
+    link = tmp_path / "latest.bin"
+    link.symlink_to(target.name)
+    save_checkpoint(store, hyper, micro_dataset, str(link))
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.bin", "latest.bin"]
+    loaded, _ = load_checkpoint(str(target), micro_dataset)
     assert loaded.next_iteration == hyper.total_steps + 1
