@@ -68,6 +68,11 @@ def _add_hyper_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _write_dataset(dataset, path: str) -> None:
+    with atomic_open(path, "w", encoding="utf-8") as handle:
+        handle.write(export_dataset(dataset))
+
+
 def cmd_gen_data(args: argparse.Namespace) -> int:
     dataset = generate_synthetic(
         num_clients=args.num_clients,
@@ -77,9 +82,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         beta=args.beta,
         seed=args.seed,
     )
-    text = export_dataset(dataset)
-    with atomic_open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_dataset(dataset, args.out)
     print(f"wrote {dataset.num_clients} clients, {dataset.total_points} points to {args.out}")
     return 0
 
@@ -147,8 +150,7 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
         save_checkpoint(store, hyper, reduced, args.out)
         print(f"updated checkpoint at {args.out}")
     if args.data_out:
-        with atomic_open(args.data_out, "w", encoding="utf-8") as handle:
-            handle.write(export_dataset(reduced))
+        _write_dataset(reduced, args.data_out)
         print(f"reduced dataset at {args.data_out}")
     return 0
 
@@ -169,6 +171,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
     if args.out:
         save_checkpoint(store, hyper, dataset, args.out)
         print(f"updated checkpoint at {args.out}")
+    if args.data_out:
+        _write_dataset(dataset, args.data_out)
+        print(f"reduced dataset at {args.data_out}")
     report = unlearning_efficiency_report(outcomes, hyper.total_steps)
     print(json.dumps(report, indent=2, default=str))
     return 0
@@ -303,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--requests", required=True,
                    help="text file, one request per line: kind,client,uid|-,issue_step")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="write the updated checkpoint here")
+    p.add_argument("--data-out", default=None, help="write the reduced dataset here")
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("verify", help="exact equivalence check on a small setup")

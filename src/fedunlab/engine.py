@@ -33,7 +33,7 @@ from .errors import (
 )
 from .losses import LossModel
 from .store import HistoryStore
-from .streams import DOMAIN_CLIENT_SAMPLING, DOMAIN_MINIBATCH, substream
+from .streams import DOMAIN_CLIENT_SAMPLING, DOMAIN_MINIBATCH, RekeyedPhilox, stream_key
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,11 @@ def run_fats(
     lr = hyper.lr
     active = dataset.client_ids
     epoch = store.epoch
+    # One generator for the run, re-keyed per decision; the (seed,
+    # domain, epoch) part of every key is folded once here.
+    streams = RekeyedPhilox()
+    multiset_key = stream_key(seed, DOMAIN_CLIENT_SAMPLING, epoch)
+    batch_key = stream_key(seed, DOMAIN_MINIBATCH, epoch)
     plan = ReplayPlan() if replay is None else replay
     pinned_multisets, pinned_batches = plan.round_multisets, plan.batches
 
@@ -185,7 +190,7 @@ def run_fats(
         if t == store.round_start_iteration(round_index):
             multiset = pinned_multisets.get(round_index)
             if multiset is None:
-                rng = substream(seed, DOMAIN_CLIENT_SAMPLING, epoch, round_index)
+                rng = streams.rekey(multiset_key, round_index)
                 multiset = sample_client_multiset(rng, active, count)
             store.record_round_start(round_index, multiset)
             locals_ = {cid: theta.copy() for cid in set(multiset)}
@@ -201,7 +206,7 @@ def run_fats(
                         f"client {client_id} holds {client.size} points; cannot "
                         f"draw a batch of {batch_size}"
                     )
-                rng = substream(seed, DOMAIN_MINIBATCH, epoch, t, client_id)
+                rng = streams.rekey(batch_key, t, client_id)
                 batch = sample_minibatch(rng, client.uids, batch_size)
             rows = client.rows_for(batch)
             grad = loss.mean_grad(

@@ -18,6 +18,7 @@ from .errors import DivergedDiversityError, InvalidArgumentError
 from .streams import DOMAIN_PROBE, substream
 
 DIVERSITY_EPS = 1e-12
+_LABELS = frozenset((0.0, 1.0))  # the logistic loss's label set
 
 
 class LossModel:
@@ -79,6 +80,14 @@ class LogisticLoss(LossModel):
             raise InvalidArgumentError(f"logistic loss needs labels in {{0, 1}}, got {label}")
         return label
 
+    @classmethod
+    def _check_labels(cls, labels: np.ndarray) -> None:
+        """Raise _check_label's error for the first label outside {0, 1}."""
+        values = labels.tolist()
+        if not _LABELS.issuperset(values):
+            for label in values:
+                cls._check_label(float(label))
+
     def point_loss(self, theta, features, label):
         label = self._check_label(float(label))
         z = float(features @ theta)
@@ -93,15 +102,13 @@ class LogisticLoss(LossModel):
         return (sigma - label) * features
 
     def mean_loss(self, theta, features, labels):
-        for label in labels:
-            self._check_label(float(label))
+        self._check_labels(labels)
         z = features @ theta
         softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
         return float(np.mean(softplus - labels * z))
 
     def mean_grad(self, theta, features, labels):
-        for label in labels:
-            self._check_label(float(label))
+        self._check_labels(labels)
         z = features @ theta
         sigma = 0.5 * (1.0 + np.tanh(0.5 * z))
         return (features.T @ (sigma - labels)) / len(labels)

@@ -363,6 +363,36 @@ def test_cli_unlearn_replaces_its_inputs_in_place(tmp_path, capsys):
     load_checkpoint(ckpt, reduced)
 
 
+def test_cli_stream_data_out_resumes(tmp_path, capsys):
+    """stream --out stamps the checkpoint with the reduced dataset, so
+    --data-out must leave that dataset for a later stream to load."""
+    data = str(tmp_path / "d.txt")
+    ckpt = str(tmp_path / "c.bin")
+    ckpt2 = str(tmp_path / "c2.bin")
+    data2 = str(tmp_path / "d2.txt")
+    assert cli_main([
+        "gen-data", "--num-clients", "3", "--samples-per-client", "6",
+        "--dim", "2", "--seed", "5", "--out", data,
+    ]) == 0
+    assert cli_main([
+        "train", "--data", data, "--total-steps", "12", "--local-steps", "2",
+        "--rho-sample", "0.5", "--rho-client", "0.5", "--lr", "0.05", "--out", ckpt,
+    ]) == 0
+    requests = tmp_path / "requests.txt"
+    requests.write_text("sample,1,7,12\n")
+    assert cli_main([
+        "stream", "--data", data, "--checkpoint", ckpt, "--requests", str(requests),
+        "--out", ckpt2, "--data-out", data2,
+    ]) == 0
+    assert f"reduced dataset at {data2}" in capsys.readouterr().out
+    with open(data2, encoding="utf-8") as handle:
+        reduced = import_dataset(handle.read())
+    assert not reduced.client(1).has_uid(7)
+    assert cli_main([
+        "stream", "--data", data2, "--checkpoint", ckpt2, "--requests", str(requests),
+    ]) == 0
+
+
 def test_cli_verify(capsys):
     assert cli_main(["verify", "--kind", "sample"]) == 0
     assert cli_main(["verify", "--kind", "client"]) == 0

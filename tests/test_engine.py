@@ -1,6 +1,8 @@
 """Training engine: sampling primitives, aggregation, determinism,
 resume, and replay."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,19 @@ def test_sample_minibatch_uniform_over_subsets():
     assert len(counts) == 6
     for n in counts.values():
         assert abs(n - 500) < 5 * np.sqrt(3000 * (1 / 6) * (5 / 6))
+
+
+def test_sample_minibatch_large_client_is_pinned():
+    """12,000 uids with b = 300 lies between N/50 and N/20, where numpy's
+    choice picks its algorithm by a cutoff that depends on `shuffle`; a
+    sampler passing shuffle=False draws another batch from the same key."""
+    uids = tuple(range(1000, 13000))
+    batch = sample_minibatch(substream(5, DOMAIN_MINIBATCH, 0, 1, 0), uids, 300)
+    assert len(set(batch)) == 300 and batch == tuple(sorted(batch))
+    assert batch[:4] == (1009, 1022, 1073, 1087)
+    assert hashlib.sha256(repr(batch).encode()).hexdigest() == (
+        "cb96a88f6eaebf5cb125f2162b8396a73d8cdd403891c75f572c14e4b25d9519"
+    )
 
 
 def test_sample_minibatch_infeasible():

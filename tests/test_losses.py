@@ -59,6 +59,20 @@ def test_logistic_rejects_other_labels():
         loss.point_loss(np.zeros(1), np.ones(1), 2.0)
 
 
+@pytest.mark.parametrize("method", ["mean_grad", "mean_loss"])
+def test_logistic_batch_names_its_first_bad_label(method):
+    loss = LogisticLoss(2)
+    features = np.ones((5, 2))
+    labels = np.array([0.0, 1.0, 0.5, 1.0, 3.0])
+    with pytest.raises(InvalidArgumentError, match=r"got 0\.5$"):
+        getattr(loss, method)(np.zeros(2), features, labels)
+    labels[2] = np.nan
+    with pytest.raises(InvalidArgumentError, match=r"got nan$"):
+        getattr(loss, method)(np.zeros(2), features, labels)
+    labels[[2, 4]] = 1.0
+    getattr(loss, method)(np.zeros(2), features, labels)
+
+
 def test_logistic_stable_at_extreme_scores():
     loss = LogisticLoss(1)
     theta = np.array([50.0])
