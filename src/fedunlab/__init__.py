@@ -16,10 +16,8 @@ from .data import (
     DataPoint,
     FederatedDataset,
     HyperParams,
-    SamplingSizes,
     UnlearnRequest,
     dataset_digest,
-    derive_sampling_sizes,
     export_dataset,
     generate_synthetic,
     import_dataset,
@@ -95,14 +93,12 @@ __all__ = [
     "NotFoundError",
     "QuadraticLoss",
     "ReplayPlan",
-    "SamplingSizes",
     "TooLargeToEnumerateError",
     "UnlearnOutcome",
     "UnlearnRequest",
     "aggregate",
     "check_lr_condition",
     "dataset_digest",
-    "derive_sampling_sizes",
     "enumerate_history_distribution",
     "equivalence_test_exact",
     "equivalence_test_mc",

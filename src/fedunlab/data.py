@@ -206,14 +206,8 @@ class FederatedDataset:
         return min((c.size for c in self.clients), default=0)
 
 
-@dataclass(frozen=True)
-class SamplingSizes:
-    """Integer per-round sampling sizes and the budgets they realize."""
-
-    clients_per_round: int
-    batch_size: int
-    rho_sample_realized: float
-    rho_client_realized: float
+def _round_half_up(value: Fraction) -> int:
+    return math.floor(value + Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -258,17 +252,25 @@ class HyperParams:
     def rounds(self) -> int:
         return self.total_steps // self.local_steps
 
+    def realized_budgets(self, num_clients: int, client_size: int) -> tuple[float, float]:
+        """(rho_sample, rho_client) that this run's K and b consume on a
+        federation of num_clients clients of client_size points; the
+        sample budget is inf for a client with no points."""
+        rho_sample = (
+            (self.batch_size * self.clients_per_round * self.total_steps)
+            / (num_clients * client_size)
+            if client_size else float("inf")
+        )
+        rho_client = (self.clients_per_round * self.total_steps) / (self.local_steps * num_clients)
+        return rho_sample, rho_client
+
     @property
     def rho_sample_realized(self) -> float:
-        return (self.batch_size * self.clients_per_round * self.total_steps) / (
-            self.num_clients * self.samples_per_client
-        )
+        return self.realized_budgets(self.num_clients, self.samples_per_client)[0]
 
     @property
     def rho_client_realized(self) -> float:
-        return (self.clients_per_round * self.total_steps) / (
-            self.local_steps * self.num_clients
-        )
+        return self.realized_budgets(self.num_clients, self.samples_per_client)[1]
 
     @classmethod
     def from_budgets(
@@ -284,21 +286,40 @@ class HyperParams:
         seed: int,
         storage_mode: str = FULL_HISTORY,
     ) -> "HyperParams":
-        sizes = derive_sampling_sizes(
-            rho_sample=rho_sample,
-            rho_client=rho_client,
-            num_clients=num_clients,
-            samples_per_client=samples_per_client,
-            total_steps=total_steps,
-            local_steps=local_steps,
-        )
+        """Derive integer (clients_per_round, batch_size) from the target
+        participation budgets.
+
+        Fractional values are rounded half-up and clamped to feasible
+        ranges; the rho_*_realized properties recompute the budgets from
+        the integers, so callers see what the run will actually consume.
+        If the batch size implied by the budgets exceeds the client
+        dataset size before rounding, no feasible batch size exists and
+        InfeasibleBudgetError is raised.
+        """
+        if not (0 < rho_sample <= 1) or not (0 < rho_client <= 1):
+            raise InvalidArgumentError("budgets must lie in (0, 1]")
+        for name, value in (("num_clients", num_clients),
+                            ("samples_per_client", samples_per_client),
+                            ("total_steps", total_steps), ("local_steps", local_steps)):
+            if value < 1:
+                raise InvalidArgumentError(f"{name} must be >= 1")
+        if total_steps % local_steps != 0:
+            raise InvalidArgumentError("total_steps must be a multiple of local_steps")
+        rho_c = Fraction(rho_client)
+        clients_exact = rho_c * local_steps * num_clients / total_steps
+        batch_exact = Fraction(rho_sample) * samples_per_client / (rho_c * local_steps)
+        if batch_exact > samples_per_client:
+            raise InfeasibleBudgetError(
+                f"implied batch size {float(batch_exact):g} exceeds client size "
+                f"{samples_per_client}; budgets are infeasible"
+            )
         return cls(
             num_clients=num_clients,
             samples_per_client=samples_per_client,
             total_steps=total_steps,
             local_steps=local_steps,
-            clients_per_round=sizes.clients_per_round,
-            batch_size=sizes.batch_size,
+            clients_per_round=max(1, _round_half_up(clients_exact)),
+            batch_size=min(samples_per_client, max(1, _round_half_up(batch_exact))),
             lr=lr,
             rho_sample=rho_sample,
             rho_client=rho_client,
@@ -323,64 +344,6 @@ class UnlearnRequest:
             raise InvalidArgumentError("sample request needs a target_uid")
         if self.issue_step < 1:
             raise InvalidArgumentError("issue_step must be >= 1")
-
-
-def _round_half_up(value: Fraction) -> int:
-    return math.floor(value + Fraction(1, 2))
-
-
-def derive_sampling_sizes(
-    *,
-    rho_sample: float,
-    rho_client: float,
-    num_clients: int,
-    samples_per_client: int,
-    total_steps: int,
-    local_steps: int,
-) -> SamplingSizes:
-    """Derive integer (clients_per_round, batch_size) from the target
-    participation budgets.
-
-    Fractional values are rounded half-up and clamped to feasible
-    ranges; the realized budgets are recomputed from the integers so
-    callers always see what the run will actually consume. If the batch
-    size implied by the budgets exceeds the client dataset size before
-    rounding, no feasible batch size exists and an error is raised.
-    """
-    if not (0 < rho_sample <= 1) or not (0 < rho_client <= 1):
-        raise InvalidArgumentError("budgets must lie in (0, 1]")
-    for name, value in (
-        ("num_clients", num_clients),
-        ("samples_per_client", samples_per_client),
-        ("total_steps", total_steps),
-        ("local_steps", local_steps),
-    ):
-        if value < 1:
-            raise InvalidArgumentError(f"{name} must be >= 1")
-    if total_steps % local_steps != 0:
-        raise InvalidArgumentError("total_steps must be a multiple of local_steps")
-
-    rho_s = Fraction(rho_sample)
-    rho_c = Fraction(rho_client)
-    clients_exact = rho_c * local_steps * num_clients / total_steps
-    batch_exact = rho_s * samples_per_client / (rho_c * local_steps)
-    if batch_exact > samples_per_client:
-        raise InfeasibleBudgetError(
-            f"implied batch size {float(batch_exact):g} exceeds client size "
-            f"{samples_per_client}; budgets are infeasible"
-        )
-    clients_per_round = max(1, _round_half_up(clients_exact))
-    batch_size = min(samples_per_client, max(1, _round_half_up(batch_exact)))
-    realized_sample = (batch_size * clients_per_round * total_steps) / (
-        num_clients * samples_per_client
-    )
-    realized_client = (clients_per_round * total_steps) / (local_steps * num_clients)
-    return SamplingSizes(
-        clients_per_round=clients_per_round,
-        batch_size=batch_size,
-        rho_sample_realized=realized_sample,
-        rho_client_realized=realized_client,
-    )
 
 
 def _class_means(classes: int, dim: int, scale: float = 2.0) -> np.ndarray:
@@ -513,32 +476,41 @@ def import_dataset(text: str) -> FederatedDataset:
     meta = lines[1].split()
     if len(meta) != 6 or meta[0] != "meta":
         raise InvalidArgumentError("malformed meta record")
-    fields = dict(part.split("=", 1) for part in meta[1:])
-    dim = int(fields["dim"])
+    try:
+        fields = {key: int(value) for key, value in (part.split("=", 1) for part in meta[1:])}
+        dim, classes = fields["dim"], fields["classes"]
+        declared, seed = fields["declared_samples"], fields["seed"]
+    except (ValueError, KeyError) as exc:
+        raise InvalidArgumentError(f"malformed meta record {lines[1]!r}: {exc!r}") from None
     columns: list[tuple[int, list[int], list[list[float]], list[float]]] = []
-    for line in lines[2:-1]:
+    for number, line in enumerate(lines[2:-1], start=3):
         parts = line.split(" ", 3)
-        if parts[0] == "client":
-            columns.append((int(parts[1]), [], [], []))
-        elif parts[0] == "point":
-            if not columns:
-                raise InvalidArgumentError("point record before any client record")
-            _, uids, features, labels = columns[-1]
-            uids.append(int(parts[1]))
-            labels.append(float(parts[2]))
-            features.append([float(x) for x in parts[3].split(",")])
-        else:
-            raise InvalidArgumentError(f"unknown record type {parts[0]!r}")
+        try:
+            if parts[0] == "client":
+                columns.append((int(parts[1]), [], [], []))
+            elif parts[0] == "point":
+                if not columns:
+                    raise InvalidArgumentError("point record before any client record")
+                _, uids, features, labels = columns[-1]
+                uids.append(int(parts[1]))
+                labels.append(float(parts[2]))
+                features.append([float(x) for x in parts[3].split(",")])
+            else:
+                raise InvalidArgumentError(f"unknown record type {parts[0]!r}")
+        except (ValueError, IndexError) as exc:
+            raise InvalidArgumentError(
+                f"malformed record on line {number}, {line!r}: {exc!r}"
+            ) from None
     clients = tuple(
         ClientDataset(client_id, uids, features or np.empty((0, dim)), labels)
         for client_id, uids, features, labels in columns
     )
     return FederatedDataset(
         clients=clients,
-        classes=int(fields["classes"]),
+        classes=classes,
         dim=dim,
-        declared_samples_per_client=int(fields["declared_samples"]),
-        seed=int(fields["seed"]),
+        declared_samples_per_client=declared,
+        seed=seed,
     )
 
 

@@ -1,8 +1,9 @@
 """Loss models, gradient oracles, and smoothness diagnostics.
 
 Two concrete losses are provided: a linear-regression quadratic and a
-binary logistic loss. Both expose per-point and vectorized mini-batch
-oracles; the engine only ever calls the vectorized path.
+binary logistic loss. Both expose the mean loss and the mean gradient
+over a mini-batch given as a feature matrix and a label vector; a single
+point is a batch of one row.
 """
 
 from __future__ import annotations
@@ -22,16 +23,10 @@ _LABELS = frozenset((0.0, 1.0))  # the logistic loss's label set
 
 
 class LossModel:
-    """Interface for a smooth per-point loss over models in R^dim."""
+    """Interface for a smooth loss over models in R^dim, averaged over a batch."""
 
     name: str  # what make_loss builds it from
     dim: int
-
-    def point_loss(self, theta: np.ndarray, features: np.ndarray, label: float) -> float:
-        raise NotImplementedError
-
-    def point_grad(self, theta: np.ndarray, features: np.ndarray, label: float) -> np.ndarray:
-        raise NotImplementedError
 
     def mean_loss(self, theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
         raise NotImplementedError
@@ -46,14 +41,6 @@ class QuadraticLoss(LossModel):
 
     name = "quadratic"
     dim: int
-
-    def point_loss(self, theta, features, label):
-        residual = float(features @ theta) - label
-        return 0.5 * residual * residual
-
-    def point_grad(self, theta, features, label):
-        residual = float(features @ theta) - label
-        return residual * features
 
     def mean_loss(self, theta, features, labels):
         residuals = features @ theta - labels
@@ -75,35 +62,20 @@ class LogisticLoss(LossModel):
     dim: int
 
     @staticmethod
-    def _check_label(label: float) -> float:
-        if label not in (0.0, 1.0):
-            raise InvalidArgumentError(f"logistic loss needs labels in {{0, 1}}, got {label}")
-        return label
-
-    @classmethod
-    def _check_labels(cls, labels: np.ndarray) -> None:
-        """Raise _check_label's error for the first label outside {0, 1}."""
+    def _check_labels(labels: np.ndarray) -> None:
+        """Raise for the first label outside {0, 1}."""
         values = labels.tolist()
         if not _LABELS.issuperset(values):
-            for label in values:
-                cls._check_label(float(label))
-
-    def point_loss(self, theta, features, label):
-        label = self._check_label(float(label))
-        z = float(features @ theta)
-        # log(1 + exp(z)) computed stably for large |z|
-        softplus = max(z, 0.0) + math.log1p(math.exp(-abs(z)))
-        return softplus - label * z
-
-    def point_grad(self, theta, features, label):
-        label = self._check_label(float(label))
-        z = float(features @ theta)
-        sigma = 0.5 * (1.0 + math.tanh(0.5 * z))
-        return (sigma - label) * features
+            for label in map(float, values):
+                if label not in (0.0, 1.0):
+                    raise InvalidArgumentError(
+                        f"logistic loss needs labels in {{0, 1}}, got {label}"
+                    )
 
     def mean_loss(self, theta, features, labels):
         self._check_labels(labels)
         z = features @ theta
+        # log(1 + exp(z)) computed stably for large |z|
         softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
         return float(np.mean(softplus - labels * z))
 

@@ -128,13 +128,6 @@ def _round_outcomes(
     return outcomes
 
 
-def per_round_outcomes(
-    hyper: HyperParams, dataset: FederatedDataset
-) -> list[tuple[Round, Fraction]]:
-    """All (round outcome, probability) pairs for one round."""
-    return _round_outcomes(hyper, dataset, (None, ()))
-
-
 def _complete(
     hyper: HyperParams, dataset: FederatedDataset, groups: dict[tuple, Fraction]
 ) -> HistoryDistribution:

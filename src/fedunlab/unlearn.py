@@ -84,16 +84,6 @@ class UnlearnOutcome:
     probes: int
     beyond_issue_step: bool = False  # re-computation starts after issue_step
 
-    def log_line(self) -> str:
-        req = self.request
-        uid = "-" if req.target_uid is None else str(req.target_uid)
-        start = "-" if self.from_iteration is None else str(self.from_iteration)
-        return (
-            f"{req.kind},{req.target_client},{uid},{req.issue_step},"
-            f"{self.action},{start},{self.retrained_iterations},"
-            f"{self.wall_time_s:.6f}"
-        )
-
 
 def _outcome(
     request: UnlearnRequest,
@@ -109,20 +99,11 @@ def _outcome(
     the dataset the call returns: the sample budget uses the target
     client's size when that client remains, otherwise the smallest
     client (the conservative choice)."""
-    clients = dataset.num_clients
     if dataset.has_client(request.target_client):
         size = dataset.client(request.target_client).size
     else:
         size = dataset.min_client_size()
-    rho_client = hyper.clients_per_round * hyper.total_steps / (
-        hyper.local_steps * clients
-    )
-    if size == 0:
-        rho_sample = float("inf")
-    else:
-        rho_sample = (
-            hyper.batch_size * hyper.clients_per_round * hyper.total_steps
-        ) / (clients * size)
+    rho_sample, rho_client = hyper.realized_budgets(dataset.num_clients, size)
     return UnlearnOutcome(
         request=request,
         action=action,
@@ -261,10 +242,11 @@ def parse_request_line(line: str) -> UnlearnRequest:
             f"request line needs 4 comma-separated fields, got {line!r}"
         )
     kind, client_text, uid_text, step_text = parts
-    uid = None if uid_text == "-" else int(uid_text)
-    return UnlearnRequest(
-        kind=kind,
-        target_client=int(client_text),
-        target_uid=uid,
-        issue_step=int(step_text),
-    )
+    try:
+        uid = None if uid_text == "-" else int(uid_text)
+        client, step = int(client_text), int(step_text)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"request line needs integer client, uid and issue_step, got {line!r}"
+        ) from None
+    return UnlearnRequest(kind=kind, target_client=client, target_uid=uid, issue_step=step)

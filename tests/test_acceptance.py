@@ -605,32 +605,35 @@ def test_criterion_7_determinism_and_prefix_preservation():
 
 
 def test_criterion_8_gradient_oracles():
-    """Analytic gradients match central finite differences to 1e-5
-    relative at 20 random probes per loss model."""
+    """The batch gradient the engine steps with matches central finite
+    differences of the batch loss to 1e-5 relative, at 20 random
+    mini-batch probes per loss model; each model's first probe is a
+    batch of one."""
     rng = np.random.default_rng(8)
     dim = 5
+    eps = 1e-6
     worst = 0.0
     for name in ("quadratic", "logistic"):
         loss = make_loss(name, dim)
-        for _ in range(20):
+        for probe in range(20):
+            rows = 1 if probe == 0 else int(rng.integers(1, 9))
             theta = rng.normal(size=dim)
-            features = rng.normal(size=dim)
-            label = float(rng.integers(0, 2))
-            grad = loss.point_grad(theta, features, label)
+            features = rng.normal(size=(rows, dim))
+            labels = rng.integers(0, 2, size=rows).astype(float)
+            grad = loss.mean_grad(theta, features, labels)
             numeric = np.zeros(dim)
-            eps = 1e-6
             for i in range(dim):
                 up, down = theta.copy(), theta.copy()
                 up[i] += eps
                 down[i] -= eps
                 numeric[i] = (
-                    loss.point_loss(up, features, label)
-                    - loss.point_loss(down, features, label)
+                    loss.mean_loss(up, features, labels)
+                    - loss.mean_loss(down, features, labels)
                 ) / (2 * eps)
             scale = max(1.0, float(np.linalg.norm(numeric)))
             worst = max(worst, float(np.linalg.norm(grad - numeric)) / scale)
     _report(
         8, "numerical-hygiene",
         worst < 1e-5,
-        f"worst relative gradient error {worst:.2e} < 1e-5 over 2x20 probes",
+        f"worst relative gradient error {worst:.2e} < 1e-5 over 2x20 mini-batch probes",
     )

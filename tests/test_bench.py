@@ -1,8 +1,14 @@
 """Experiment configs, runner outputs, reports, and the CLI."""
 
+import csv
+import hashlib
+import io
 import json
 import math
 import os
+import signal
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +17,12 @@ from fedunlab.bench import (
     ExperimentConfig,
     MetricsRow,
     convergence_summary,
-    divergence_risk,
     draw_random_sample_requests,
-    plateau_improvement_test,
     run_experiment,
     unlearning_efficiency_report,
 )
 from fedunlab.cli import main as cli_main
-from fedunlab.data import UnlearnRequest, generate_synthetic, import_dataset
+from fedunlab.data import UnlearnRequest, export_dataset, generate_synthetic, import_dataset
 from fedunlab.errors import InvalidArgumentError
 from fedunlab.losses import make_loss
 from fedunlab.store import load_checkpoint
@@ -144,6 +148,71 @@ def test_run_experiment_auto_lr_satisfies_condition(tmp_path):
         assert row.lr_condition_margin < 0
 
 
+def test_outcomes_csv_row_fields(tmp_path):
+    """An outcomes.csv row names the request's kind, client and uid, the
+    action taken and the iterations it re-computed."""
+    raw = _config_dict(str(tmp_path / "out"))
+    raw["requests"] = [{"kind": "sample", "client": 0, "uid": 1}]
+    result = run_experiment(ExperimentConfig.from_dict(raw))[0]
+    with open(os.path.join(result.run_dir, "outcomes.csv"), newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert row["kind"] == "sample"
+    assert row["client"] == "0"
+    assert row["uid"] == "1"
+    assert row["action"] == PARTIAL_RETRAIN
+    assert int(row["retrained_iterations"]) == result.outcomes[0].retrained_iterations > 0
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# SHA-256 of (metrics.csv, outcomes.csv without its wall_time_s column)
+# for each run of each shipped config. Training and deletion are
+# deterministic, so any change to these bytes is a change in behaviour.
+SHIPPED_PINS = {
+    "quickstart": [
+        ("b319610cc62155c94da0e32f46ce3ecbbe242f8bd3c12ce0e391dfe14bf6891f",
+         "59f78eef81b503dc4db7dcac9160be57e327435512056b2d9cf56367dfc2824d"),
+        ("0bad3d4d76a3a6ede1935ecf64ec4ba121cbe23bb73832de32d708a3514a87b3",
+         "cb55d34a56fab2a99b048e7815142bed6ca112966519fb5e49ba06040fbb0864"),
+    ],
+    "convergence_study": [
+        ("8e1a71d312da815c997ae7ed8206b6942c46c99c6b24d273b214fb9d16208cad",
+         "5bca2bc86d01182cc2ad712964bef7c9e3d60d5efbea64543c3a7aec72962e2f"),
+        ("e9234c31b1f38053cf5edca0e8d6806f72e037b8dc598bf61c4400e7d6d65bac",
+         "97ed06008b60be98756a6f9f040d92789957b8a79eda48147ec28965f8b333ea"),
+        ("c3a480188faed051bbf63fdde2a7c7b10fa95bc776753ea50db777f9eb9247df",
+         "73099561a611faf7be5c78efdaaec226f7a00662b41608d7549df1ef04a6e13a"),
+    ],
+    "compact_storage": [
+        ("6eda8a193a158499f2d747032ea89845db093f6bcea30568128bbccbbafd2e4b",
+         "0e9e4a4184b02195801a6266b6c15b7895ce45227da236e70ec84c6ce0ff6a57"),
+    ],
+}
+
+
+def _sha256_without_column(path, column):
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    drop = rows[0].index(column)
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(row[:drop] + row[drop + 1:] for row in rows)
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_PINS))
+def test_shipped_config_outputs_pinned(tmp_path, name):
+    config = ExperimentConfig.from_file(str(CONFIGS / f"{name}.json"))
+    config.output_dir = str(tmp_path)
+    got = []
+    for result in run_experiment(config):
+        metrics = Path(result.run_dir, "metrics.csv").read_bytes()
+        got.append((
+            hashlib.sha256(metrics).hexdigest(),
+            _sha256_without_column(Path(result.run_dir, "outcomes.csv"), "wall_time_s"),
+        ))
+    assert got == SHIPPED_PINS[name]
+
+
 def test_draw_random_sample_requests_distinct():
     dataset = generate_synthetic(
         num_clients=3, samples_per_client=4, dim=1, classes=2, beta=0.5, seed=2
@@ -153,6 +222,31 @@ def test_draw_random_sample_requests_distinct():
     assert len(set(uids)) == 5
     for request in requests:
         assert dataset.client(request.target_client).has_uid(request.target_uid)
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the body after seconds of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_draw_random_sample_requests_rejects_more_than_the_points():
+    dataset = generate_synthetic(
+        num_clients=2, samples_per_client=2, dim=1, classes=2, beta=0.5, seed=2
+    )
+    with _time_limit(10):
+        assert len(draw_random_sample_requests(dataset, 4, seed=1, issue_step=2)) == 4
+        with pytest.raises(InvalidArgumentError, match="5 distinct"):
+            draw_random_sample_requests(dataset, 5, seed=1, issue_step=2)
 
 
 # ----------------------------------------------------------------------
@@ -179,22 +273,6 @@ def test_convergence_summary():
     )
     with pytest.raises(InvalidArgumentError):
         convergence_summary([])
-
-
-def test_plateau_improvement_test():
-    small = [1.0, 1.1, 0.9, 1.05, 1.2, 0.95, 1.0, 1.1]
-    large = [0.5, 0.55, 0.45, 0.5, 0.6, 0.48, 0.52, 0.5]
-    pvalue, significant = plateau_improvement_test(small, large)
-    assert significant and pvalue < 0.05
-    with pytest.raises(InvalidArgumentError):
-        plateau_improvement_test([1.0], [1.0, 2.0])
-
-
-def test_divergence_risk():
-    assert divergence_risk(local_steps=50, total_steps=100,
-                           curvature_ratio=0.01, diversity=4.0)
-    assert not divergence_risk(local_steps=1, total_steps=1000,
-                               curvature_ratio=1.0, diversity=2.0)
 
 
 def _outcome(action, retrained, rho=0.5):
@@ -422,3 +500,59 @@ def test_cli_error_exit_code(tmp_path, capsys):
         "--out", str(tmp_path / "x.txt"),
     ])
     assert code != 0
+
+
+def test_cli_stream_malformed_request_exits_2(tmp_path, capsys):
+    data = str(tmp_path / "data.txt")
+    ckpt = str(tmp_path / "ckpt.bin")
+    assert cli_main([
+        "gen-data", "--num-clients", "3", "--samples-per-client", "4",
+        "--dim", "2", "--seed", "5", "--out", data,
+    ]) == 0
+    assert cli_main([
+        "train", "--data", data, "--total-steps", "8", "--local-steps", "2",
+        "--rho-sample", "0.5", "--rho-client", "0.5", "--lr", "0.05", "--out", ckpt,
+    ]) == 0
+    requests = tmp_path / "requests.txt"
+    requests.write_text("sample,x,1,4\n")
+    assert cli_main([
+        "stream", "--data", data, "--checkpoint", ckpt, "--requests", str(requests),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sample,x,1,4" in err
+
+
+def _first_point_line(text):
+    return next(line for line in text.splitlines() if line.startswith("point "))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text.replace(_first_point_line(text), "point 1 oops", 1),
+    lambda text: text.replace(_first_point_line(text), "point 1", 1),
+    lambda text: text.replace(" seed=5", " seed5", 1),
+    lambda text: text.replace(" dim=2", " width=2", 1),
+], ids=["bad-label", "short-point", "meta-without-equals", "meta-without-dim"])
+def test_cli_train_malformed_dataset_exits_2(tmp_path, capsys, corrupt):
+    dataset = generate_synthetic(
+        num_clients=2, samples_per_client=3, dim=2, classes=2, beta=0.5, seed=5
+    )
+    text = export_dataset(dataset)
+    broken = corrupt(text)
+    assert broken != text
+    data = tmp_path / "data.txt"
+    data.write_text(broken)
+    assert cli_main([
+        "train", "--data", str(data), "--total-steps", "4", "--local-steps", "2",
+        "--rho-sample", "0.5", "--rho-client", "0.5", "--lr", "0.1",
+        "--out", str(tmp_path / "ckpt.bin"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed")
+
+
+def test_cli_bench_invalid_json_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"dataset": {"num_clients": 3,')
+    assert cli_main(["bench", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(config) in err

@@ -15,7 +15,6 @@ from fedunlab.data import (
     FederatedDataset,
     HyperParams,
     dataset_digest,
-    derive_sampling_sizes,
     export_dataset,
     generate_synthetic,
     import_dataset,
@@ -35,9 +34,9 @@ from fedunlab.errors import (
 
 def test_sampling_sizes_frozen_example():
     # K = 0.5 * 4 * 50 / 20 = 5 exactly, b = 0.25 * 80 / (0.5 * 4) = 10
-    sizes = derive_sampling_sizes(
+    sizes = HyperParams.from_budgets(
         rho_sample=0.25, rho_client=0.5, num_clients=50,
-        samples_per_client=80, total_steps=20, local_steps=4,
+        samples_per_client=80, total_steps=20, local_steps=4, lr=1.0, seed=0,
     )
     assert sizes.clients_per_round == 5
     assert sizes.batch_size == 10
@@ -47,9 +46,9 @@ def test_sampling_sizes_frozen_example():
 
 def test_sampling_sizes_rounds_half_up():
     # exact K = 1.0 * 1 * 3 / 2 = 1.5 -> 2
-    sizes = derive_sampling_sizes(
+    sizes = HyperParams.from_budgets(
         rho_sample=0.5, rho_client=1.0, num_clients=3,
-        samples_per_client=4, total_steps=2, local_steps=1,
+        samples_per_client=4, total_steps=2, local_steps=1, lr=1.0, seed=0,
     )
     assert sizes.clients_per_round == 2
     # exact b = 0.5 * 4 / 1 = 2
@@ -58,9 +57,9 @@ def test_sampling_sizes_rounds_half_up():
 
 def test_sampling_sizes_clamps_to_one():
     # exact K = 0.02 and exact b = 0.2 both round to zero without the clamp
-    sizes = derive_sampling_sizes(
+    sizes = HyperParams.from_budgets(
         rho_sample=0.0004, rho_client=0.02, num_clients=10,
-        samples_per_client=10, total_steps=10, local_steps=1,
+        samples_per_client=10, total_steps=10, local_steps=1, lr=1.0, seed=0,
     )
     assert sizes.clients_per_round == 1
     assert sizes.batch_size == 1
@@ -69,18 +68,18 @@ def test_sampling_sizes_clamps_to_one():
 def test_sampling_sizes_infeasible_batch():
     # exact b = 0.9 * 10 / (0.05 * 1) = 180 > N = 10
     with pytest.raises(InfeasibleBudgetError):
-        derive_sampling_sizes(
+        HyperParams.from_budgets(
             rho_sample=0.9, rho_client=0.05, num_clients=20,
-            samples_per_client=10, total_steps=20, local_steps=1,
+            samples_per_client=10, total_steps=20, local_steps=1, lr=1.0, seed=0,
         )
 
 
 def test_sampling_sizes_rejects_bad_budgets():
     for rho_sample, rho_client in ((0.0, 0.5), (0.5, 0.0), (-1.0, 0.5), (0.5, 1.5)):
         with pytest.raises(InvalidArgumentError):
-            derive_sampling_sizes(
+            HyperParams.from_budgets(
                 rho_sample=rho_sample, rho_client=rho_client, num_clients=4,
-                samples_per_client=4, total_steps=4, local_steps=1,
+                samples_per_client=4, total_steps=4, local_steps=1, lr=1.0, seed=0,
             )
 
 
@@ -103,10 +102,10 @@ def test_realized_budget_slack_bound(
     rho_client = rho_client_pct / 100
     total_steps = round_count * local_steps
     try:
-        sizes = derive_sampling_sizes(
+        sizes = HyperParams.from_budgets(
             rho_sample=rho_sample, rho_client=rho_client,
             num_clients=num_clients, samples_per_client=samples,
-            total_steps=total_steps, local_steps=local_steps,
+            total_steps=total_steps, local_steps=local_steps, lr=1.0, seed=0,
         )
     except InfeasibleBudgetError:
         return

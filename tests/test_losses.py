@@ -34,13 +34,20 @@ def finite_diff_grad(fn, theta, eps=1e-6):
     return grad
 
 
+def _one_row(x):
+    """A single point as a batch of one row."""
+    return np.atleast_2d(x)
+
+
 def test_quadratic_point_values():
     loss = QuadraticLoss(2)
     theta = np.array([1.0, -2.0])
     x = np.array([3.0, 0.5])
     # z = 3 - 1 = 2, label 1 -> loss = 0.5
-    assert loss.point_loss(theta, x, 1.0) == pytest.approx(0.5)
-    np.testing.assert_allclose(loss.point_grad(theta, x, 1.0), (2.0 - 1.0) * x)
+    assert loss.mean_loss(theta, _one_row(x), np.array([1.0])) == pytest.approx(0.5)
+    np.testing.assert_allclose(
+        loss.mean_grad(theta, _one_row(x), np.array([1.0])), (2.0 - 1.0) * x
+    )
 
 
 def test_logistic_point_values():
@@ -48,15 +55,15 @@ def test_logistic_point_values():
     theta = np.zeros(2)
     x = np.array([1.0, 1.0])
     # z = 0: loss = log 2 regardless of label, grad = (sigma(0) - y) x
-    assert loss.point_loss(theta, x, 1.0) == pytest.approx(math.log(2.0))
-    np.testing.assert_allclose(loss.point_grad(theta, x, 0.0), 0.5 * x)
-    np.testing.assert_allclose(loss.point_grad(theta, x, 1.0), -0.5 * x)
+    assert loss.mean_loss(theta, _one_row(x), np.array([1.0])) == pytest.approx(math.log(2.0))
+    np.testing.assert_allclose(loss.mean_grad(theta, _one_row(x), np.array([0.0])), 0.5 * x)
+    np.testing.assert_allclose(loss.mean_grad(theta, _one_row(x), np.array([1.0])), -0.5 * x)
 
 
 def test_logistic_rejects_other_labels():
     loss = LogisticLoss(1)
     with pytest.raises(InvalidArgumentError):
-        loss.point_loss(np.zeros(1), np.ones(1), 2.0)
+        loss.mean_loss(np.zeros(1), _one_row(np.ones(1)), np.array([2.0]))
 
 
 @pytest.mark.parametrize("method", ["mean_grad", "mean_loss"])
@@ -76,24 +83,24 @@ def test_logistic_batch_names_its_first_bad_label(method):
 def test_logistic_stable_at_extreme_scores():
     loss = LogisticLoss(1)
     theta = np.array([50.0])
-    x = np.array([1.0])
-    assert loss.point_loss(theta, x, 1.0) == pytest.approx(0.0, abs=1e-20)
-    assert loss.point_loss(theta, x, 0.0) == pytest.approx(50.0)
-    assert np.isfinite(loss.point_grad(-theta, x, 1.0)).all()
+    x = _one_row(np.array([1.0]))
+    assert loss.mean_loss(theta, x, np.array([1.0])) == pytest.approx(0.0, abs=1e-20)
+    assert loss.mean_loss(theta, x, np.array([0.0])) == pytest.approx(50.0)
+    assert np.isfinite(loss.mean_grad(-theta, x, np.array([1.0]))).all()
 
 
 @pytest.mark.parametrize("name", ["quadratic", "logistic"])
 def test_gradients_match_finite_differences(name):
-    """20 random probes per loss model, 1e-5 relative tolerance."""
+    """20 random one-row probes per loss model, 1e-5 relative tolerance."""
     rng = np.random.default_rng(17)
     dim = 4
     loss = make_loss(name, dim)
     for _ in range(20):
         theta = rng.normal(size=dim)
-        x = rng.normal(size=dim)
-        label = float(rng.integers(0, 2))
-        grad = loss.point_grad(theta, x, label)
-        numeric = finite_diff_grad(lambda t: loss.point_loss(t, x, label), theta)
+        x = _one_row(rng.normal(size=dim))
+        label = np.array([float(rng.integers(0, 2))])
+        grad = loss.mean_grad(theta, x, label)
+        numeric = finite_diff_grad(lambda t: loss.mean_loss(t, x, label), theta)
         scale = max(1.0, float(np.linalg.norm(numeric)))
         assert np.linalg.norm(grad - numeric) / scale < 1e-5
 
@@ -106,7 +113,8 @@ def test_mean_grad_matches_point_grads(name):
     features = rng.normal(size=(6, 3))
     labels = rng.integers(0, 2, size=6).astype(float)
     stacked = np.mean(
-        [loss.point_grad(theta, features[i], labels[i]) for i in range(6)], axis=0
+        [loss.mean_grad(theta, features[i : i + 1], labels[i : i + 1]) for i in range(6)],
+        axis=0,
     )
     np.testing.assert_allclose(loss.mean_grad(theta, features, labels), stacked,
                                rtol=1e-12, atol=1e-12)

@@ -26,7 +26,6 @@ from fedunlab.stability import (
     equivalence_test_exact,
     equivalence_test_mc,
     involvement_probability,
-    per_round_outcomes,
     tv_distance,
     unlearned_history_distribution,
 )
@@ -74,12 +73,6 @@ def test_multiset_probability_oracle():
     # ordered draws over 2 clients: (0,0) w.p. 1/4; {0,1} has two orders
     assert _multiset_probability((0, 0), 2) == Fraction(1, 4)
     assert _multiset_probability((0, 1), 2) == Fraction(1, 2)
-
-
-def test_per_round_outcomes_probabilities_sum_to_one(micro_dataset):
-    outcomes = per_round_outcomes(micro_hyper(), micro_dataset)
-    assert sum(p for _, p in outcomes) == 1
-    assert len(outcomes) == 4  # 2 multisets x 2 batches
 
 
 def test_micro_distribution_uniform(micro_dataset):

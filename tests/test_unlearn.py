@@ -374,20 +374,6 @@ def test_process_stream_mixed_kinds():
         assert other not in store.round_multiset(r)
 
 
-def test_outcome_log_line_format():
-    dataset, hyper, loss, store = _setup(seed=1)
-    client_id, uid = _find_used_uid(store, dataset)
-    request = UnlearnRequest(kind="sample", target_client=client_id,
-                             target_uid=uid, issue_step=hyper.total_steps)
-    outcome, _ = unlearn_request(request, store, dataset, hyper, loss)
-    fields = outcome.log_line().split(",")
-    assert fields[0] == "sample"
-    assert fields[1] == str(client_id)
-    assert fields[2] == str(uid)
-    assert fields[4] == PARTIAL_RETRAIN
-    assert int(fields[6]) == outcome.retrained_iterations
-
-
 def test_parse_request_line():
     request = parse_request_line("sample, 3, 17, 40")
     assert request == UnlearnRequest(kind="sample", target_client=3,
