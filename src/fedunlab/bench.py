@@ -14,7 +14,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, astuple, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -44,20 +45,6 @@ from .losses import (
 from .store import HistoryStore
 from .streams import DOMAIN_TRIAL, substream
 from .unlearn import UnlearnOutcome, process_stream
-
-METRICS_FIELDS = [
-    "run",
-    "round",
-    "iteration",
-    "grad_norm_sq",
-    "avg_grad_norm_sq",
-    "loss",
-    "diversity",
-    "lr_condition_margin",
-    "rho_sample_realized",
-    "rho_client_realized",
-    "curvature_ratio",
-]
 
 OUTCOME_FIELDS = [
     "run",
@@ -94,107 +81,110 @@ class MetricsRow:
     curvature_ratio: float
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated experiment description."""
+METRICS_FIELDS = [f.name for f in fields(MetricsRow)]
 
-    dataset_clients: int
-    dataset_samples: int
-    dataset_dim: int
-    dataset_classes: int
-    dataset_beta: float
-    dataset_seed: int
+
+def _field(section: dict, path: str, kind: type, default=MISSING):
+    """Read the config value at path from its section as kind: an int
+    counts as a float, a bool as neither."""
+    key = path.rpartition(".")[2]
+    if key not in section:
+        if default is MISSING:
+            raise InvalidArgumentError(f"config field {path} is required")
+        return default
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise InvalidArgumentError(f"config field {path} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _section(raw, name: str, *own: str) -> dict:
+    """Check that raw is an object whose keys all belong to a config
+    field in section name or are in own."""
+    if not isinstance(raw, dict):
+        raise InvalidArgumentError(f"config field {name or 'root'} must be an object")
+    paths = (f.metadata["path"].rpartition(".") for f in fields(ExperimentConfig) if f.metadata)
+    unknown = sorted(set(raw) - {key for section, _, key in paths if section == name} - set(own))
+    if unknown:
+        path = f"{name}.{unknown[0]}" if name else unknown[0]
+        raise InvalidArgumentError(f"config field {path} is not a known key")
+    return raw
+
+
+def _request(entry, where: str, total_steps: int) -> UnlearnRequest:
+    _section(entry, where, "kind", "client", "uid", "issue_step")
+    return UnlearnRequest(
+        kind=_field(entry, f"{where}.kind", str),
+        target_client=_field(entry, f"{where}.client", int),
+        target_uid=_field(entry, f"{where}.uid", int, None),
+        issue_step=_field(entry, f"{where}.issue_step", int, total_steps),
+    )
+
+
+@dataclass(kw_only=True)
+class ExperimentConfig:
+    """Validated experiment description. A field whose metadata holds a
+    path is read from that config value, and is required if it has no
+    default."""
+
+    dataset_clients: int = field(metadata={"path": "dataset.num_clients"})
+    dataset_samples: int = field(metadata={"path": "dataset.samples_per_client"})
+    dataset_dim: int = field(default=1, metadata={"path": "dataset.dim"})
+    dataset_classes: int = field(default=2, metadata={"path": "dataset.classes"})
+    dataset_beta: float = field(default=0.5, metadata={"path": "dataset.beta"})
+    dataset_seed: int = field(default=0, metadata={"path": "dataset.seed"})
     dataset_path: str | None
-    loss: str
-    total_steps: int
-    local_steps: int
-    rho_sample: float
-    rho_client: float
+    loss: str = field(default="quadratic", metadata={"path": "loss"})
+    total_steps: int = field(metadata={"path": "hyper.total_steps"})
+    local_steps: int = field(metadata={"path": "hyper.local_steps"})
+    rho_sample: float = field(metadata={"path": "hyper.rho_sample"})
+    rho_client: float = field(metadata={"path": "hyper.rho_client"})
     lr: float | None  # None means derive from estimates
-    storage_mode: str
-    requests: list[UnlearnRequest] = field(default_factory=list)
-    random_sample_requests: int = 0
-    request_seed: int = 0
-    repeats: int = 1
-    seed_base: int = 0
-    output_dir: str = "out"
+    storage_mode: str = field(default=FULL_HISTORY, metadata={"path": "hyper.storage_mode"})
+    requests: list[UnlearnRequest]
+    random_sample_requests: int = field(default=0, metadata={"path": "requests.random_samples"})
+    request_seed: int = field(default=0, metadata={"path": "requests.seed"})
+    repeats: int = field(default=1, metadata={"path": "repeats"})
+    seed_base: int = field(default=0, metadata={"path": "seed_base"})
+    output_dir: str = field(default="out", metadata={"path": "output_dir"})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        def need(section: dict, key: str, path: str):
-            if key not in section:
-                raise InvalidArgumentError(f"config field {path} is required")
-            return section[key]
-
-        if not isinstance(raw, dict):
-            raise InvalidArgumentError("config root must be an object")
-        dataset = raw.get("dataset", {})
-        hyper = raw.get("hyper", {})
-        if not isinstance(dataset, dict):
-            raise InvalidArgumentError("config field dataset must be an object")
-        if not isinstance(hyper, dict):
-            raise InvalidArgumentError("config field hyper must be an object")
-        path = dataset.get("path")
-        if path is None:
-            clients = int(need(dataset, "num_clients", "dataset.num_clients"))
-            samples = int(need(dataset, "samples_per_client", "dataset.samples_per_client"))
-            dim = int(dataset.get("dim", 1))
-            classes = int(dataset.get("classes", 2))
-            beta = float(dataset.get("beta", 0.5))
-            dseed = int(dataset.get("seed", 0))
-        else:
-            clients = samples = dim = classes = 0
-            beta, dseed = 0.5, 0
-        lr_raw = hyper.get("lr", "auto")
-        if lr_raw == "auto":
-            lr = None
-        else:
-            lr = float(lr_raw)
-            if lr <= 0:
+        raw = _section(raw, "", "dataset", "hyper", "requests")
+        requests = raw.get("requests", [])
+        if not isinstance(requests, (list, dict)):
+            raise InvalidArgumentError("config field requests must be a list or an object")
+        sections = {
+            "": raw,
+            "dataset": _section(raw.get("dataset", {}), "dataset", "path"),
+            "hyper": _section(raw.get("hyper", {}), "hyper", "lr"),
+            "requests": _section(requests if isinstance(requests, dict) else {}, "requests"),
+        }
+        data_path = _field(sections["dataset"], "dataset.path", str, None)
+        types = get_type_hints(cls)
+        values = {}
+        for f in fields(cls):
+            if not f.metadata:
+                continue
+            section, default = f.metadata["path"].rpartition(".")[0], f.default
+            if section == "dataset" and data_path is not None and default is MISSING:
+                default = 0  # unused: the dataset is read from path
+            values[f.name] = _field(sections[section], f.metadata["path"], types[f.name], default)
+        lr = None
+        if sections["hyper"].get("lr", "auto") != "auto":
+            lr = _field(sections["hyper"], "hyper.lr", float)
+            if not lr > 0:
                 raise InvalidArgumentError("config field hyper.lr must be positive")
-        requests = []
-        raw_requests = raw.get("requests", [])
-        random_requests = 0
-        request_seed = 0
-        if isinstance(raw_requests, dict):
-            random_requests = int(raw_requests.get("random_samples", 0))
-            request_seed = int(raw_requests.get("seed", 0))
-        else:
-            for index, entry in enumerate(raw_requests):
-                where = f"requests[{index}]"
-                kind = need(entry, "kind", f"{where}.kind")
-                uid = entry.get("uid")
-                requests.append(
-                    UnlearnRequest(
-                        kind=kind,
-                        target_client=int(need(entry, "client", f"{where}.client")),
-                        target_uid=None if uid is None else int(uid),
-                        issue_step=int(
-                            entry.get("issue_step", need(hyper, "total_steps", "hyper.total_steps"))
-                        ),
-                    )
-                )
+        if isinstance(requests, dict):
+            requests = []
         return cls(
-            dataset_clients=clients,
-            dataset_samples=samples,
-            dataset_dim=dim,
-            dataset_classes=classes,
-            dataset_beta=beta,
-            dataset_seed=dseed,
-            dataset_path=path,
-            loss=str(raw.get("loss", "quadratic")),
-            total_steps=int(need(hyper, "total_steps", "hyper.total_steps")),
-            local_steps=int(need(hyper, "local_steps", "hyper.local_steps")),
-            rho_sample=float(need(hyper, "rho_sample", "hyper.rho_sample")),
-            rho_client=float(need(hyper, "rho_client", "hyper.rho_client")),
+            **values,
+            dataset_path=data_path,
             lr=lr,
-            storage_mode=str(hyper.get("storage_mode", FULL_HISTORY)),
-            requests=requests,
-            random_sample_requests=random_requests,
-            request_seed=request_seed,
-            repeats=int(raw.get("repeats", 1)),
-            seed_base=int(raw.get("seed_base", 0)),
-            output_dir=str(raw.get("output_dir", "out")),
+            requests=[
+                _request(entry, f"requests[{index}]", values["total_steps"])
+                for index, entry in enumerate(requests)
+            ],
         )
 
     @classmethod
@@ -233,20 +223,8 @@ def resolve_learning_rate(
     lower bound for both shipped losses)."""
     theta0 = np.zeros(loss.dim)
     smoothness = estimate_smoothness(loss, dataset, seed=config.seed_base)
-    sizes = HyperParams.from_budgets(
-        rho_sample=config.rho_sample,
-        rho_client=config.rho_client,
-        num_clients=dataset.num_clients,
-        samples_per_client=max(c.size for c in dataset.clients),
-        total_steps=config.total_steps,
-        local_steps=config.local_steps,
-        lr=1.0,
-        seed=0,
-        storage_mode=FULL_HISTORY,
-    )
-    grad_bound = estimate_grad_bound(
-        loss, dataset, batch_size=sizes.batch_size, seed=config.seed_base
-    )
+    batch_size = build_hyper(config, dataset, lr=1.0, seed=0).batch_size
+    grad_bound = estimate_grad_bound(loss, dataset, batch_size=batch_size, seed=config.seed_base)
     loss_gap = max(global_loss(loss, theta0, dataset), 1e-9)
     ratio = stability_curvature_ratio(
         grad_bound=grad_bound,
@@ -406,14 +384,7 @@ def write_run_files(result: RunResult, run_dir: str) -> None:
     with open(os.path.join(run_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(METRICS_FIELDS)
-        for row in result.metrics:
-            writer.writerow([
-                row.run, row.round, row.iteration,
-                repr(row.grad_norm_sq), repr(row.avg_grad_norm_sq), repr(row.loss),
-                repr(row.diversity), repr(row.lr_condition_margin),
-                repr(row.rho_sample_realized), repr(row.rho_client_realized),
-                repr(row.curvature_ratio),
-            ])
+        writer.writerows(map(astuple, result.metrics))
     with open(os.path.join(run_dir, "outcomes.csv"), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(OUTCOME_FIELDS)
@@ -436,6 +407,25 @@ def write_run_files(result: RunResult, run_dir: str) -> None:
             f"{result.train_wall_s:.6f}",
             f"{sum(o.wall_time_s for o in result.outcomes):.6f}",
         ])
+
+
+def read_metrics(path: str) -> list[MetricsRow]:
+    """Parse a metrics.csv that write_run_files wrote."""
+    columns = get_type_hints(MetricsRow)
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidArgumentError(f"metrics file {path} has no column {missing[0]}")
+        try:
+            return [
+                MetricsRow(**{name: kind(record[name]) for name, kind in columns.items()})
+                for record in reader
+            ]
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(
+                f"metrics file {path} line {reader.line_num}: {exc}"
+            ) from None
 
 
 def run_experiment(config: ExperimentConfig, write_files: bool = True) -> list[RunResult]:

@@ -16,7 +16,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -24,8 +23,8 @@ import numpy as np
 
 from .bench import (
     ExperimentConfig,
-    MetricsRow,
     convergence_summary,
+    read_metrics,
     run_experiment,
     unlearning_efficiency_report,
 )
@@ -37,6 +36,7 @@ from .data import (
     export_dataset,
     generate_synthetic,
     import_dataset,
+    remove_target,
 )
 from .engine import run_fats
 from .errors import FedUnlabError
@@ -126,10 +126,23 @@ def _print_outcome(outcome: UnlearnOutcome) -> None:
     )
 
 
-def cmd_unlearn(args: argparse.Namespace) -> int:
+def _load_inputs(args: argparse.Namespace):
     dataset = _read_dataset(args.data)
     store, hyper = load_checkpoint(args.checkpoint, dataset)
-    loss = make_loss(store.loss_name, dataset.dim)
+    return dataset, store, hyper, make_loss(store.loss_name, dataset.dim)
+
+
+def _write_outputs(args: argparse.Namespace, store, hyper, reduced) -> None:
+    if args.out:
+        save_checkpoint(store, hyper, reduced, args.out)
+        print(f"updated checkpoint at {args.out}")
+    if args.data_out:
+        _write_dataset(reduced, args.data_out)
+        print(f"reduced dataset at {args.data_out}")
+
+
+def cmd_unlearn(args: argparse.Namespace) -> int:
+    dataset, store, hyper, loss = _load_inputs(args)
     request = UnlearnRequest(
         kind=args.kind,
         target_client=args.client,
@@ -146,19 +159,12 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.out:
-        save_checkpoint(store, hyper, reduced, args.out)
-        print(f"updated checkpoint at {args.out}")
-    if args.data_out:
-        _write_dataset(reduced, args.data_out)
-        print(f"reduced dataset at {args.data_out}")
+    _write_outputs(args, store, hyper, reduced)
     return 0
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    dataset = _read_dataset(args.data)
-    store, hyper = load_checkpoint(args.checkpoint, dataset)
-    loss = make_loss(store.loss_name, dataset.dim)
+    dataset, store, hyper, loss = _load_inputs(args)
     requests = []
     with open(args.requests, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -168,12 +174,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     outcomes, dataset = process_stream(requests, store, dataset, hyper, loss)
     for outcome in outcomes:
         _print_outcome(outcome)
-    if args.out:
-        save_checkpoint(store, hyper, dataset, args.out)
-        print(f"updated checkpoint at {args.out}")
-    if args.data_out:
-        _write_dataset(dataset, args.data_out)
-        print(f"reduced dataset at {args.data_out}")
+    _write_outputs(args, store, hyper, dataset)
     report = unlearning_efficiency_report(outcomes, hyper.total_steps)
     print(json.dumps(report, indent=2, default=str))
     return 0
@@ -208,15 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         issue_step=hyper.total_steps,
     )
     unlearned = unlearned_history_distribution(hyper, dataset, request)
-    if args.kind == "sample":
-        from .data import remove_sample
-
-        reduced = remove_sample(dataset, target_client, target_uid)
-    else:
-        from .data import remove_client
-
-        reduced = remove_client(dataset, target_client)
-    retrain = enumerate_history_distribution(hyper, reduced)
+    retrain = enumerate_history_distribution(hyper, remove_target(dataset, request))
     report = equivalence_test_exact(unlearned, retrain)
     print(report.record())
     return 0 if report.passed else 1
@@ -246,25 +239,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows: list[MetricsRow] = []
-    with open(args.metrics, "r", encoding="utf-8") as handle:
-        for record in csv.DictReader(handle):
-            rows.append(
-                MetricsRow(
-                    run=int(record["run"]),
-                    round=int(record["round"]),
-                    iteration=int(record["iteration"]),
-                    grad_norm_sq=float(record["grad_norm_sq"]),
-                    avg_grad_norm_sq=float(record["avg_grad_norm_sq"]),
-                    loss=float(record["loss"]),
-                    diversity=float(record["diversity"]),
-                    lr_condition_margin=float(record["lr_condition_margin"]),
-                    rho_sample_realized=float(record["rho_sample_realized"]),
-                    rho_client_realized=float(record["rho_client_realized"]),
-                    curvature_ratio=float(record["curvature_ratio"]),
-                )
-            )
-    print(json.dumps(convergence_summary(rows), indent=2))
+    print(json.dumps(convergence_summary(read_metrics(args.metrics)), indent=2))
     return 0
 
 

@@ -437,6 +437,13 @@ def remove_client(dataset: FederatedDataset, client_id: int) -> FederatedDataset
     return dataset._with_clients(clients)
 
 
+def remove_target(dataset: FederatedDataset, request: UnlearnRequest) -> FederatedDataset:
+    """Return a copy of the federation without the request's target."""
+    if request.kind == "sample":
+        return remove_sample(dataset, request.target_client, request.target_uid)
+    return remove_client(dataset, request.target_client)
+
+
 _EXPORT_HEADER = "fedunlab-dataset v1 encoding=decimal-text"
 
 

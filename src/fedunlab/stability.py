@@ -23,7 +23,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .data import FederatedDataset, HyperParams, UnlearnRequest, remove_client, remove_sample
+from .data import FederatedDataset, HyperParams, UnlearnRequest, remove_target
 from .errors import (
     BinsTooFineError,
     InvalidArgumentError,
@@ -173,10 +173,7 @@ def unlearned_history_distribution(
     group is completed once over the reduced dataset.
     """
     _check_budget(hyper, dataset)
-    if request.kind == "sample":
-        reduced = remove_sample(dataset, request.target_client, request.target_uid)
-    else:
-        reduced = remove_client(dataset, request.target_client)
+    reduced = remove_target(dataset, request)
     steps = hyper.local_steps
     groups: dict[tuple, Fraction] = {}
     original = enumerate_history_distribution(hyper, dataset)

@@ -51,8 +51,7 @@ from .data import (
     FederatedDataset,
     HyperParams,
     UnlearnRequest,
-    remove_client,
-    remove_sample,
+    remove_target,
 )
 from .engine import ReplayPlan, run_fats
 from .errors import EmptyFederationError, InvalidArgumentError, NotFoundError
@@ -173,10 +172,7 @@ def unlearn_request(
     sample = request.kind == "sample"
     full = store.mode == FULL_HISTORY
     try:
-        if sample:
-            reduced = remove_sample(dataset, client_id, uid)
-        else:
-            reduced = remove_client(dataset, client_id)
+        reduced = remove_target(dataset, request)
     except EmptyFederationError:
         smallest = 0
     else:

@@ -8,6 +8,7 @@ import math
 import os
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from fedunlab.bench import (
     MetricsRow,
     convergence_summary,
     draw_random_sample_requests,
+    read_metrics,
     run_experiment,
     unlearning_efficiency_report,
 )
@@ -211,6 +213,21 @@ def test_shipped_config_outputs_pinned(tmp_path, name):
             _sha256_without_column(Path(result.run_dir, "outcomes.csv"), "wall_time_s"),
         ))
     assert got == SHIPPED_PINS[name]
+
+
+def test_read_metrics_round_trips_run_metrics(tmp_path):
+    """The rows report parses from metrics.csv are the rows the run
+    recorded, bit for bit."""
+    config = ExperimentConfig.from_file(str(CONFIGS / "quickstart.json"))
+    config.output_dir = str(tmp_path)
+    for result in run_experiment(config):
+        got = read_metrics(os.path.join(result.run_dir, "metrics.csv"))
+        assert len(got) == len(result.metrics) > 0
+        for parsed, recorded in zip(got, result.metrics):
+            assert replace(parsed, diversity=0.0) == replace(recorded, diversity=0.0)
+            assert parsed.diversity == recorded.diversity or (
+                math.isnan(parsed.diversity) and math.isnan(recorded.diversity)
+            )
 
 
 def test_draw_random_sample_requests_distinct():
@@ -556,3 +573,71 @@ def test_cli_bench_invalid_json_exits_2(tmp_path, capsys):
     assert cli_main(["bench", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(config) in err
+
+
+def _set(raw, path, value):
+    *sections, key = path.split(".")
+    for section in sections:
+        raw = raw[section]
+    raw[key] = value
+
+
+def _bench_config_stderr(tmp_path, monkeypatch, capsys, path, value):
+    """Run bench on the test config with the value at path replaced;
+    assert it exits 2 and writes nothing, and return its stderr."""
+    monkeypatch.chdir(tmp_path)
+    raw = _config_dict("out")
+    _set(raw, path, value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert cli_main(["bench", "--config", str(config)]) == 2
+    assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, named", [
+    ("dataset.num_clients", "x", "dataset.num_clients"),
+    ("requests", [3], "requests[0]"),
+    ("hyper.lr", "fast", "hyper.lr"),
+    ("dataset.beta", None, "dataset.beta"),
+    ("requests", [{"kind": "sample", "client": 0, "uid": "a"}], "requests[0].uid"),
+    ("requests", {"random_samples": "x"}, "requests.random_samples"),
+    ("hyper.total_steps", 4.5, "hyper.total_steps"),
+    ("dataset.dim", 2.7, "dataset.dim"),
+    ("hyper.lr", True, "hyper.lr"),
+    ("repeats", "2", "repeats"),
+    ("output_dir", 7, "output_dir"),
+])
+def test_cli_bench_malformed_config_exits_2(tmp_path, monkeypatch, capsys, path, value, named):
+    err = _bench_config_stderr(tmp_path, monkeypatch, capsys, path, value)
+    assert err.startswith(f"error: config field {named} ")
+
+
+@pytest.mark.parametrize("path, value, named", [
+    ("repeat", 3, "repeat"),
+    ("dataset.dims", 3, "dataset.dims"),
+    ("hyper.learning_rate", 0.1, "hyper.learning_rate"),
+    ("requests", {"random_sample": 3}, "requests.random_sample"),
+    ("requests", [{"kind": "client", "client": 1, "issue": 8}], "requests[0].issue"),
+])
+def test_cli_bench_unknown_config_key_exits_2(tmp_path, monkeypatch, capsys, path, value, named):
+    """A misspelt key is an error, not a silent default: "repeat": 3
+    would otherwise run one repeat."""
+    err = _bench_config_stderr(tmp_path, monkeypatch, capsys, path, value)
+    assert err == f"error: config field {named} is not a known key\n"
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rows: [row[:6] + row[7:] for row in rows],
+    lambda rows: [rows[0], ["0", "1", "x"] + rows[1][3:]] + rows[2:],
+], ids=["missing-column", "non-integer-iteration"])
+def test_cli_report_malformed_metrics_exits_2(tmp_path, capsys, corrupt):
+    (result,) = run_experiment(ExperimentConfig.from_dict(_config_dict(str(tmp_path))))
+    metrics = Path(result.run_dir, "metrics.csv")
+    with open(metrics, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    with open(metrics, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(corrupt(rows))
+    assert cli_main(["report", "--metrics", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: metrics file {metrics} ")
