@@ -170,6 +170,10 @@ class ExperimentConfig:
             if section == "dataset" and data_path is not None and default is MISSING:
                 default = 0  # unused: the dataset is read from path
             values[f.name] = _field(sections[section], f.metadata["path"], types[f.name], default)
+        if values["repeats"] < 1:
+            raise InvalidArgumentError("config field repeats must be at least 1")
+        if values["random_sample_requests"] < 0:
+            raise InvalidArgumentError("config field requests.random_samples must not be negative")
         lr = None
         if sections["hyper"].get("lr", "auto") != "auto":
             lr = _field(sections["hyper"], "hyper.lr", float)

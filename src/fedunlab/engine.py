@@ -10,11 +10,11 @@ becomes the new global model.
 
 Every sampling decision and every round's global model is recorded in
 the history store, which is what makes deletions verifiable in O(1) and
-re-computation possible from any iteration: local models are not
-stored, so a re-run recomputes them from its round's start. Re-execution
-of a suffix is bit-identical as long as the store's epoch is unchanged,
-because every draw is keyed by (seed, purpose, epoch, iteration
-context).
+re-computation possible from any round start: local models are not
+stored, so a re-run starts at a round start, where every local model
+is the round's global model. Re-execution of a suffix is bit-identical
+as long as the store's epoch is unchanged, because every draw is keyed
+by (seed, purpose, epoch, iteration context).
 """
 
 from __future__ import annotations
@@ -100,22 +100,17 @@ def run_fats(
     dataset: FederatedDataset,
     store: HistoryStore,
     loss: LossModel,
-    theta0: np.ndarray | None = None,
     replay: ReplayPlan | None = None,
     round_hook: RoundHook | None = None,
 ) -> np.ndarray:
     """Execute iterations start_iteration..total_steps and return the
-    final global model.
+    final global model. start_iteration must start a round.
 
-    Starting from 1 requires an initial model (zeros by default),
-    overwrites the store and records the loss's name on it. Starting
-    later resumes the store, under the loss it was trained with, from
-    the global model before start_iteration's round. The store keeps no
-    local models, so a start inside a round re-runs the round from its
-    start with its recorded multiset and the batches before
-    start_iteration pinned: the same operations on the same rows, so the
-    models come out bit-identical. Records from the re-run's start on
-    are discarded and rewritten; the epoch is not advanced here, so
+    Starting from 1 trains from the zero model, overwrites the store and
+    records the loss's name on it. Starting later resumes the store,
+    under the loss it was trained with, from the global model before
+    start_iteration's round. Records from start_iteration on are
+    discarded and rewritten; the epoch is not advanced here, so
     re-running the same suffix is bit-identical.
     """
     total = hyper.total_steps
@@ -123,6 +118,10 @@ def run_fats(
     if not 1 <= start_iteration <= total:
         raise InvalidArgumentError(
             f"start_iteration {start_iteration} outside [1, {total}]"
+        )
+    if (start_iteration - 1) % steps:
+        raise InvalidArgumentError(
+            f"start_iteration {start_iteration} does not start a round of {steps} steps"
         )
     if start_iteration > store.next_iteration:
         raise InvalidArgumentError(
@@ -149,43 +148,21 @@ def run_fats(
     pinned_multisets, pinned_batches = plan.round_multisets, plan.batches
 
     first_round = store.round_of(start_iteration)
-    run_from = store.round_start_iteration(first_round)
-    if start_iteration == 1:
-        theta = np.zeros(loss.dim) if theta0 is None else np.asarray(theta0, dtype=np.float64)
-        if theta.shape != (loss.dim,):
-            raise InvalidArgumentError("theta0 has the wrong dimension")
-    else:
-        if store.loss_name != loss.name:
-            raise InvalidArgumentError(
-                f"the store was trained under the {store.loss_name} loss, not {loss.name}"
-            )
-        theta = store.global_model(first_round - 1)
-        if theta is None:
-            raise CorruptedHistoryError(
-                f"no global model recorded for round {first_round - 1}"
-            )
-    if run_from < start_iteration:
-        recorded = store.round_multiset(first_round)
-        pinned = pinned_multisets.get(first_round)
-        if pinned is not None and pinned != recorded:
-            raise CorruptedHistoryError(
-                "replay plan disagrees with the stored round multiset"
-            )
-        pinned_multisets = {**pinned_multisets, first_round: recorded}
-        pinned_batches = dict(pinned_batches)
-        for (t, client_id), batch in store.decisions(run_from)[1]:
-            if t >= start_iteration:
-                break
-            pinned_batches[(t, client_id)] = batch
-
-    store.discard_from(run_from)
+    if start_iteration > 1 and store.loss_name != loss.name:
+        raise InvalidArgumentError(
+            f"the store was trained under the {store.loss_name} loss, not {loss.name}"
+        )
+    theta = np.zeros(loss.dim) if start_iteration == 1 else store.global_model(first_round - 1)
+    if theta is None:
+        raise CorruptedHistoryError(f"no global model recorded for round {first_round - 1}")
+    store.discard_from(start_iteration)
     if start_iteration == 1:
         store.loss_name = loss.name
         store.record_global(0, theta)
 
     multiset: tuple[int, ...] | None = None
     locals_: dict[int, np.ndarray] = {}
-    for t in range(run_from, total + 1):
+    for t in range(start_iteration, total + 1):
         round_index = store.round_of(t)
         if t == store.round_start_iteration(round_index):
             multiset = pinned_multisets.get(round_index)

@@ -30,7 +30,7 @@ from .errors import (
     TooLargeToEnumerateError,
 )
 from .streams import derive_trial_seeds
-from .unlearn import couple
+from .unlearn import couple, round_start
 
 ENUMERATION_BUDGET = 10**6
 
@@ -168,9 +168,10 @@ def unlearned_history_distribution(
 
     The deletion rule is the engine's own: `unlearn.couple` runs on every
     enumerated history, fed the first use the store's index would
-    report. Every decision before the start it returns, plus its replay
-    plan, is pinned; histories with equal pins are grouped and each
-    group is completed once over the reduced dataset.
+    report. The rounds before the one holding the start it returns, plus
+    its replay plan, are pinned, exactly what the engine keeps;
+    histories with equal pins are grouped and each group is completed
+    once over the reduced dataset.
     """
     _check_budget(hyper, dataset)
     reduced = remove_target(dataset, request)
@@ -192,7 +193,7 @@ def unlearned_history_distribution(
         start, plan = couple(
             request, hyper.storage_mode, min(uses, default=None), multisets, records, steps
         )
-        end = hyper.total_steps + 1 if start is None else start
+        end = hyper.total_steps + 1 if start is None else round_start(start, steps)
         kept = {r: m for r, m in multisets if (r - 1) * steps + 1 < end}
         kept.update(plan.round_multisets)
         batches = [(key, batch) for key, batch in records if key[0] < end]

@@ -4,10 +4,10 @@ A full_history store keeps the sampling history by position: round r's
 client multiset at _multisets[r - 1], iteration t's {client: batch uids}
 at _batches[t - 1] and round r's aggregated model at _globals[r]. That
 is what partial re-computation replays. No local model is stored: a
-re-run recomputes the ones it needs from its round's global model and
-recorded batches, so a prune is a slice. A compact store keeps only the
-initial and the latest model and the client index below; its deletions
-retrain from iteration 1.
+re-run starts at a round start, from the previous round's global model,
+so a prune is a slice. A compact store keeps only the initial and the
+latest model and the client index below; its deletions retrain from
+iteration 1.
 
 Two dictionaries make deletion verification a single probe: client ->
 earliest round in which the client was selected (both modes), and, in
@@ -155,13 +155,6 @@ class HistoryStore:
     # ------------------------------------------------------------------
     # lookups
 
-    def round_multiset(self, round_index: int) -> tuple[int, ...] | None:
-        if self.mode != FULL_HISTORY:
-            raise ModeMismatchError("round multisets are not kept in compact mode")
-        if 1 <= round_index <= len(self._multisets):
-            return self._multisets[round_index - 1]
-        return None
-
     def decisions(self, since: int):
         """The recorded sampling decisions at or after iteration since:
         (round, multiset) pairs for the rounds that start there or later
@@ -306,19 +299,6 @@ class HistoryStore:
         """Bit-exact equality of persistent state (diagnostic counters
         excluded)."""
         return self._state() == other._state()
-
-    def copy(self) -> "HistoryStore":
-        clone = HistoryStore(self.mode, self.local_steps)
-        clone.epoch = self.epoch
-        clone.next_iteration = self.next_iteration
-        clone.loss_name = self.loss_name
-        clone._multisets = list(self._multisets)
-        clone._batches = [dict(batches) for batches in self._batches]
-        clone._globals = [model.copy() for model in self._globals]
-        clone._latest_round = self._latest_round
-        clone._earliest_use = dict(self._earliest_use)
-        clone._earliest_round = dict(self._earliest_round)
-        return clone
 
 
 # ----------------------------------------------------------------------
@@ -482,6 +462,8 @@ def load_checkpoint(
         mode, digest, dim = meta["mode"], meta["digest"], int(meta["dim"])
         epoch, next_iteration = int(meta["epoch"]), int(meta["next_iteration"])
         latest_round, loss_name = int(meta["latest_round"]), meta["loss"]
+        if mode != hyper.storage_mode:
+            raise ValueError(f"mode {mode!r} but hyper.storage_mode {hyper.storage_mode!r}")
         if meta["arrays"] != list(_CKPT_ARRAYS):
             raise ValueError(f"array list {meta['arrays']!r}")
     except (KeyError, ValueError, TypeError, InvalidArgumentError) as exc:

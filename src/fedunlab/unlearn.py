@@ -2,22 +2,23 @@
 
 `unlearn_request` is the one entry point for both request kinds and
 both store modes. `couple` is the one deletion rule: from the target's
-first recorded use it picks the iteration the re-run starts at and the
-recorded decisions at or after it that the re-run keeps; every decision
-before the start is kept and every other one is redrawn from the
-reduced dataset under a fresh stream epoch. The exact certifier
-(`stability.unlearned_history_distribution`) runs this same function.
+first recorded use it picks the iteration re-computation starts at and
+the recorded decisions the re-run keeps. The store keeps no local
+models, so the re-run starts at that iteration's `round_start`; every
+earlier round is kept and every decision the plan does not pin is
+redrawn from the reduced dataset under a fresh stream epoch. The exact
+certifier (`stability.unlearned_history_distribution`) runs both as well.
 
 Sample deletion on a full-history store verifies involvement with one
-index probe; an unused sample is a no-op. Otherwise the re-run starts at
-the earliest involved iteration and keeps the client multisets, every
-other client's batches, and the target client's batches that did not
-contain the deleted point; only batches that contained it are redrawn.
-This component-wise reuse is the coupling that makes the re-run's
-sampling history distributed exactly as a retrain on the reduced
-dataset. Redrawing the whole suffix instead would bias the retained
-prefix (it would be conditioned on non-involvement), so the reuse is a
-correctness requirement, not an optimization.
+index probe; an unused sample is a no-op. Otherwise re-computation
+starts at the earliest involved iteration and the re-run keeps the
+client multisets, every other client's batches, and the target client's
+batches that did not contain the deleted point; only batches that
+contained it are redrawn. This component-wise reuse is the coupling
+that makes the re-run's sampling history distributed exactly as a
+retrain on the reduced dataset. Redrawing the whole suffix instead would
+bias the retained prefix (it would be conditioned on non-involvement),
+so the reuse is a correctness requirement, not an optimization.
 
 Client deletion verifies with one probe against the round index. The
 re-run starts at the first round that selected the client and redraws
@@ -119,6 +120,11 @@ def _outcome(
     )
 
 
+def round_start(iteration: int, local_steps: int) -> int:
+    """The first iteration of the round holding iteration."""
+    return (iteration - 1) // local_steps * local_steps + 1
+
+
 def build_sample_replay_plan(
     request: UnlearnRequest, start: int, multisets: Multisets, records: Records, local_steps: int
 ) -> ReplayPlan:
@@ -144,13 +150,16 @@ def couple(
     first_use is the target's earliest recorded use (None when it was
     never used or the store cannot tell); multisets and records are the
     recorded (round, multiset) and ((iteration, client), batch) pairs,
-    all of them or only those at or after first_use. Returns the iteration the re-run starts at (None: keep the history
-    as it is) and the decisions at or after it that the re-run keeps."""
+    all of them or only those from first_use's round start on. Returns
+    the iteration re-computation starts at (None: keep the history as
+    it is) and the decisions from its round start on that the re-run
+    keeps."""
     if mode != FULL_HISTORY:
         return (1 if request.kind == "sample" or first_use is not None else None), ReplayPlan()
     if request.kind == "client" or first_use is None:
         return first_use, ReplayPlan()
-    return first_use, build_sample_replay_plan(request, first_use, multisets, records, local_steps)
+    since = round_start(first_use, local_steps)
+    return first_use, build_sample_replay_plan(request, since, multisets, records, local_steps)
 
 
 def unlearn_request(
@@ -192,18 +201,17 @@ def unlearn_request(
     else:
         first_use = store.earliest_client_use(client_id)
     probes = store.probes - probes_before
+    steps = store.local_steps
     # Read lazily: only a full-history sample deletion consumes them.
-    multisets, records = store.decisions(first_use or 1)
-    from_iteration, plan = couple(
-        request, store.mode, first_use, multisets, records, store.local_steps
-    )
+    multisets, records = store.decisions(round_start(first_use or 1, steps))
+    from_iteration, plan = couple(request, store.mode, first_use, multisets, records, steps)
     if from_iteration is None:
         final = store.latest_global_model()
         return _outcome(request, NOOP, None, hyper, reduced, start_time, probes, final), reduced
 
-    theta0 = store.global_model(0) if from_iteration == 1 else None
-    store.prune_after(from_iteration)
-    final = run_fats(from_iteration, hyper, reduced, store, loss, theta0=theta0, replay=plan)
+    restart = round_start(from_iteration, steps)
+    store.prune_after(restart)
+    final = run_fats(restart, hyper, reduced, store, loss, replay=plan)
     action = PARTIAL_RETRAIN if full else FULL_RETRAIN
     outcome = _outcome(request, action, from_iteration, hyper, reduced, start_time, probes, final)
     return outcome, reduced

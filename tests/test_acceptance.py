@@ -6,6 +6,7 @@ the asserts; every random quantity is driven by fixed seeds, so the
 suite is deterministic.
 """
 
+import copy
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -558,7 +559,7 @@ def test_criterion_7_determinism_and_prefix_preservation():
 
     # prefix preservation under sample deletion
     store = stores[0]
-    reference = store.copy()
+    reference = copy.deepcopy(store)
     cid = uid = first_use = None
     for client in dataset.clients:
         for candidate in client.uids:

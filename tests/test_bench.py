@@ -607,6 +607,8 @@ def _bench_config_stderr(tmp_path, monkeypatch, capsys, path, value):
     ("hyper.lr", True, "hyper.lr"),
     ("repeats", "2", "repeats"),
     ("output_dir", 7, "output_dir"),
+    ("repeats", 0, "repeats"),
+    ("requests", {"random_samples": -1}, "requests.random_samples"),
 ])
 def test_cli_bench_malformed_config_exits_2(tmp_path, monkeypatch, capsys, path, value, named):
     err = _bench_config_stderr(tmp_path, monkeypatch, capsys, path, value)

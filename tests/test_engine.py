@@ -1,6 +1,7 @@
 """Training engine: sampling primitives, aggregation, determinism,
 resume, and replay."""
 
+import copy
 import hashlib
 
 import numpy as np
@@ -135,7 +136,7 @@ def test_run_fats_forced_trajectory_matches_hand_sgd():
     for _ in range(3):
         theta = theta - 0.1 * (2.0 * theta - 1.0) * 2.0
     assert final[0] == pytest.approx(theta, rel=1e-15)
-    assert store.round_multiset(2) == (0,)
+    assert dict(store.decisions(1)[0])[2] == (0,)
     assert dict(store.decisions(1)[1])[(2, 0)] == (0,)
 
 
@@ -165,24 +166,27 @@ def test_run_fats_seed_changes_history(small_dataset):
     assert stores[0].history_tuple() != stores[1].history_tuple()
 
 
-@pytest.mark.parametrize("start", [3, 4, 5])
-def test_run_fats_suffix_rerun_is_bit_identical(small_dataset, start):
-    """Re-executing any suffix against an unchanged epoch reproduces the
-    original records and final model exactly, including mid-round starts:
-    with two local steps 3 and 5 start rounds, with three 3 and 5 are
-    inside one, after a prune to the start as well as on the whole store."""
+@pytest.mark.parametrize("local_steps", [2, 3])
+def test_run_fats_suffix_rerun_is_bit_identical(small_dataset, local_steps):
+    """Re-executing from any round start against an unchanged epoch
+    reproduces the original records and final model exactly, on the
+    whole store as well as after a discard to the start. A start inside
+    a round is rejected and leaves the store as it was."""
     loss = make_loss("quadratic", 2)
-    for local_steps in (2, 3):
-        hyper = _hyper(local_steps=local_steps)
-        store = HistoryStore(FULL_HISTORY, local_steps)
-        final = run_fats(1, hyper, small_dataset, store, loss)
-        reference = store.copy()
-        final_again = run_fats(start, hyper, small_dataset, store, loss)
-        assert np.array_equal(final, final_again)
+    hyper = _hyper(local_steps=local_steps)
+    store = HistoryStore(FULL_HISTORY, local_steps)
+    final = run_fats(1, hyper, small_dataset, store, loss)
+    reference = copy.deepcopy(store)
+    for start in range(1, hyper.total_steps + 1):
+        if (start - 1) % local_steps:
+            with pytest.raises(InvalidArgumentError, match="does not start a round"):
+                run_fats(start, hyper, small_dataset, store, loss)
+            assert store.state_equal(reference)
+            continue
+        assert np.array_equal(run_fats(start, hyper, small_dataset, store, loss), final)
         assert store.state_equal(reference)
         store.discard_from(start)
-        final_again = run_fats(start, hyper, small_dataset, store, loss)
-        assert np.array_equal(final, final_again)
+        assert np.array_equal(run_fats(start, hyper, small_dataset, store, loss), final)
         assert store.state_equal(reference)
 
 
@@ -191,7 +195,7 @@ def test_run_fats_resume_needs_the_trained_loss(small_dataset):
     store = HistoryStore(FULL_HISTORY, hyper.local_steps)
     run_fats(1, hyper, small_dataset, store, make_loss("logistic", 2))
     assert store.loss_name == "logistic"
-    reference = store.copy()
+    reference = copy.deepcopy(store)
     with pytest.raises(InvalidArgumentError):
         run_fats(3, hyper, small_dataset, store, make_loss("quadratic", 2))
     assert store.state_equal(reference)
@@ -201,8 +205,8 @@ def test_run_fats_rejects_gap(small_dataset):
     hyper = _hyper()
     loss = make_loss("quadratic", 2)
     store = HistoryStore(FULL_HISTORY, hyper.local_steps)
-    with pytest.raises(InvalidArgumentError):
-        run_fats(4, hyper, small_dataset, store, loss)
+    with pytest.raises(InvalidArgumentError, match="only covers history"):
+        run_fats(3, hyper, small_dataset, store, loss)
 
 
 def test_run_fats_rejects_compact_resume(small_dataset):
@@ -232,8 +236,7 @@ def test_replay_plan_pins_decisions(small_dataset):
     store = HistoryStore(FULL_HISTORY, hyper.local_steps)
     run_fats(1, hyper, small_dataset, store, loss)
     plan = ReplayPlan()
-    for r in (1, 2, 3):
-        plan.round_multisets[r] = store.round_multiset(r)
+    plan.round_multisets.update(store.decisions(1)[0])
     for (t, cid), batch in store.decisions(1)[1]:
         plan.batches[(t, cid)] = batch
     replayed = HistoryStore(FULL_HISTORY, hyper.local_steps)

@@ -30,6 +30,7 @@ from fedunlab.stability import (
     unlearned_history_distribution,
 )
 from fedunlab.streams import substream
+from fedunlab.unlearn import build_sample_replay_plan
 
 from conftest import micro_hyper
 
@@ -173,19 +174,37 @@ def _redraw_whole_suffix(request, mode, first_use, multisets, records, local_ste
     return first_use, ReplayPlan()
 
 
+def _plan_from_first_use(request, mode, first_use, multisets, records, local_steps):
+    """A sample plan anchored at the first use, not at its round's start:
+    the round the re-run restarts in gets a fresh multiset."""
+    if first_use is None:
+        return None, ReplayPlan()
+    return first_use, build_sample_replay_plan(request, first_use, multisets, records, local_steps)
+
+
 @pytest.mark.parametrize(
-    "mutant,kind",
+    "mutant,kind,config",
     [
-        (_never_recompute, "sample"),
-        (_never_recompute, "client"),
-        (_redraw_whole_suffix, "sample"),
+        (_never_recompute, "sample", (2, 3, 3, 1, 1, 2)),
+        (_never_recompute, "client", (2, 3, 3, 1, 1, 2)),
+        (_redraw_whole_suffix, "sample", (2, 3, 3, 1, 1, 2)),
+        (_plan_from_first_use, "sample", (2, 3, 4, 2, 1, 1)),
+        (_plan_from_first_use, "sample", (2, 2, 4, 2, 1, 1)),
+    ],
+    ids=[
+        "_never_recompute-sample",
+        "_never_recompute-client",
+        "_redraw_whole_suffix-sample",
+        "_plan_from_first_use-sample-2-3-4-2-1-1",
+        "_plan_from_first_use-sample-2-2-4-2-1-1",
     ],
 )
-def test_certifier_runs_the_shipped_rule(monkeypatch, mutant, kind):
+def test_certifier_runs_the_shipped_rule(monkeypatch, mutant, kind, config):
     """The certifier takes what a deletion keeps from unlearn.couple, so
-    a broken rule shows as TV > 0."""
-    dataset = _dataset(2, 3)
-    hyper = _hyper(2, 3, 3, 1, 1, 2)
+    a broken rule shows as TV > 0, including one that leaves the restart
+    round's multiset to the engine."""
+    dataset = _dataset(*config[:2])
+    hyper = _hyper(*config)
     cid = dataset.client_ids[-1]
     if kind == "sample":
         uid = dataset.client(cid).uids[0]

@@ -1,6 +1,7 @@
 """History store: recording, probing, pruning, storage accounting,
 checkpoints."""
 
+import copy
 import io
 import json
 import os
@@ -57,8 +58,7 @@ def test_round_arithmetic():
 
 def test_recording_and_lookup():
     store = _filled_store()
-    assert store.round_multiset(1) == (0, 1)
-    assert store.round_multiset(3) is None
+    assert dict(store.decisions(1)[0]) == {1: (0, 1), 2: (1, 1)}
     assert dict(store.decisions(1)[1])[(2, 0)] == (4, 5)
     np.testing.assert_array_equal(store.global_model(1), [0.4, 0.5])
     np.testing.assert_array_equal(store.latest_global_model(), [1.2, 1.3])
@@ -158,11 +158,11 @@ def test_involvement_flags_full_mode():
 def test_discard_from_keeps_epoch_prune_bumps_it():
     store = _filled_store()
     epoch = store.epoch
-    clone = store.copy()
+    clone = copy.deepcopy(store)
     assert clone.discard_from(3)
     assert clone.epoch == epoch
     assert clone.next_iteration == 3
-    assert clone.round_multiset(2) is None
+    assert dict(clone.decisions(1)[0]) == {1: (0, 1)}
     kept = dict(clone.decisions(1)[1])
     assert (3, 1) not in kept
     assert (2, 0) in kept
@@ -255,7 +255,7 @@ def test_discard_from_equals_rerecorded_prefix():
     dataset, store = _trained_three_step_store()
     uids = [uid for client in dataset.clients for uid in client.uids]
     for cut in range(1, store.next_iteration + 1):
-        pruned = store.copy()
+        pruned = copy.deepcopy(store)
         pruned.discard_from(cut)
         assert pruned.state_equal(_rerecorded_prefix(store, cut)), cut
         samples, clients = _scanned_uses(pruned.history_tuple(), store.local_steps)
@@ -282,7 +282,7 @@ def _trained_store(mode, total_steps, seed=0):
 
     hyper = HyperParams(**hyper_kwargs)
     store = HistoryStore(mode, 10)
-    run_fats(1, hyper, dataset, store, make_loss("quadratic", 1), theta0=np.zeros(1))
+    run_fats(1, hyper, dataset, store, make_loss("quadratic", 1))
     return store
 
 
@@ -445,6 +445,21 @@ def test_checkpoint_rejects_v1_and_out_of_order_records(tmp_path, micro_dataset)
     _write_v3(bad, header, meta, twice)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(str(bad))
+
+
+@pytest.mark.parametrize("mode, other", [(FULL_HISTORY, COMPACT), (COMPACT, FULL_HISTORY)])
+def test_checkpoint_rejects_two_different_modes(tmp_path, micro_dataset, mode, other):
+    """The metadata and the hyper-parameters both name the store mode; a
+    file whose two copies differ is malformed, whichever one is wrong."""
+    hyper = micro_hyper(storage_mode=mode)
+    store = HistoryStore(mode, 1)
+    run_fats(1, hyper, micro_dataset, store, make_loss("quadratic", 1))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(store, hyper, micro_dataset, str(path))
+    header, meta, arrays = _read_v3(path)
+    _write_v3(path, header, {**meta, "hyper": {**meta["hyper"], "storage_mode": other}}, arrays)
+    with pytest.raises(CheckpointFormatError, match=f"mode '{mode}' but hyper.storage_mode '{other}'"):
+        load_checkpoint(str(path), micro_dataset)
 
 
 def test_checkpoint_rejects_v2_text(tmp_path, micro_dataset):

@@ -1,6 +1,8 @@
 """Deletion servicing: verification probes, partial re-computation,
 prefix preservation, streams."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_unlearn_sample_noop_when_never_used():
         if unused is None:
             continue
         client_id, uid = unused
-        reference = store.copy()
+        reference = copy.deepcopy(store)
         request = UnlearnRequest(kind="sample", target_client=client_id,
                                  target_uid=uid, issue_step=hyper.total_steps)
         outcome, reduced = unlearn_request(request, store, dataset, hyper, loss)
@@ -110,7 +112,7 @@ def test_unlearn_sample_removes_target_everywhere():
 def test_unlearn_sample_preserves_prefix_and_uninvolved_batches():
     dataset, hyper, loss, store = _setup(seed=2)
     client_id, uid = _find_used_uid(store, dataset)
-    reference = store.copy()
+    reference = copy.deepcopy(store)
     first_use = reference._earliest_use[uid]
     request = UnlearnRequest(kind="sample", target_client=client_id,
                              target_uid=uid, issue_step=hyper.total_steps)
@@ -125,8 +127,7 @@ def test_unlearn_sample_preserves_prefix_and_uninvolved_batches():
     for r in range(0, (first_use - 1) // hyper.local_steps + 1):
         assert np.array_equal(store.global_model(r), reference.global_model(r))
     # round multisets never change under sample deletion
-    for r in range(1, hyper.rounds + 1):
-        assert store.round_multiset(r) == reference.round_multiset(r)
+    assert dict(store.decisions(1)[0]) == dict(reference.decisions(1)[0])
     # batches not containing the uid are reused verbatim at every t
     for key, batch in before.items():
         if key[1] == client_id and uid in batch:
@@ -176,8 +177,8 @@ def test_unlearn_sample_needs_full_history():
 
 def test_unlearn_client_prunes_from_first_selection():
     dataset, hyper, loss, store = _setup(seed=3)
-    client_id = store.round_multiset(2)[0]
-    reference = store.copy()
+    client_id = dict(store.decisions(1)[0])[2][0]
+    reference = copy.deepcopy(store)
     first_round = reference._earliest_round[client_id]
     request = UnlearnRequest(kind="client", target_client=client_id,
                              target_uid=None, issue_step=hyper.total_steps)
@@ -186,8 +187,9 @@ def test_unlearn_client_prunes_from_first_selection():
     assert outcome.from_iteration == (first_round - 1) * hyper.local_steps + 1
     assert not reduced.has_client(client_id)
     # the client appears nowhere afterward
+    multisets = dict(store.decisions(1)[0])
     for r in range(1, hyper.rounds + 1):
-        assert client_id not in store.round_multiset(r)
+        assert client_id not in multisets[r]
     for (t, cid), _ in store.decisions(1)[1]:
         assert cid != client_id
     # prefix rounds before the first selection are bit-identical
@@ -198,12 +200,13 @@ def test_unlearn_client_prunes_from_first_selection():
 
 def test_unlearn_client_keeps_per_round_count():
     dataset, hyper, loss, store = _setup(seed=4)
-    client_id = store.round_multiset(1)[0]
+    client_id = dict(store.decisions(1)[0])[1][0]
     request = UnlearnRequest(kind="client", target_client=client_id,
                              target_uid=None, issue_step=hyper.total_steps)
     unlearn_request(request, store, dataset, hyper, loss)
+    multisets = dict(store.decisions(1)[0])
     for r in range(1, hyper.rounds + 1):
-        assert len(store.round_multiset(r)) == hyper.clients_per_round
+        assert len(multisets[r]) == hyper.clients_per_round
 
 
 def test_unlearn_client_noop_when_never_selected():
@@ -214,7 +217,7 @@ def test_unlearn_client_noop_when_never_selected():
         unseen = [c for c in dataset.client_ids if c not in store._earliest_round]
         if not unseen:
             continue
-        reference = store.copy()
+        reference = copy.deepcopy(store)
         request = UnlearnRequest(kind="client", target_client=unseen[0],
                                  target_uid=None, issue_step=hyper.total_steps)
         outcome, reduced = unlearn_request(request, store, dataset, hyper, loss)
@@ -232,7 +235,7 @@ def test_unlearn_client_last_client_forbidden(micro_dataset):
     loss = make_loss("quadratic", 1)
     store = HistoryStore(FULL_HISTORY, 1)
     run_fats(1, hyper, micro_dataset, store, loss)
-    reference = store.copy()
+    reference = copy.deepcopy(store)
     reduced = remove_client(micro_dataset, 0)
     request = UnlearnRequest(kind="client", target_client=1,
                              target_uid=None, issue_step=2)
@@ -289,7 +292,7 @@ def _tight_setup():
 def test_failed_deletion_leaves_store_untouched():
     dataset, hyper, loss, store = _tight_setup()
     client_id, uid = _find_used_uid(store, dataset)
-    reference = store.copy()
+    reference = copy.deepcopy(store)
     bad = UnlearnRequest(kind="sample", target_client=client_id,
                          target_uid=uid, issue_step=hyper.total_steps)
     (outcome,), returned = process_stream([bad], store, dataset, hyper, loss)
@@ -323,9 +326,9 @@ def test_stream_rejects_emptying_a_client(micro_dataset):
                            issue_step=hyper.total_steps)
     second = UnlearnRequest(kind="sample", target_client=1, target_uid=second_uid,
                             issue_step=hyper.total_steps)
-    reference = store.copy()
+    reference = copy.deepcopy(store)
     _, after_first = unlearn_request(first, reference, micro_dataset, hyper, loss)
-    outcome, returned = unlearn_request(second, reference.copy(), after_first, hyper, loss)
+    outcome, returned = unlearn_request(second, copy.deepcopy(reference), after_first, hyper, loss)
     assert outcome.action == REJECTED and returned is after_first
     outcomes, reduced = process_stream(
         [first, second, first], store, micro_dataset, hyper, loss
@@ -370,8 +373,9 @@ def test_process_stream_mixed_kinds():
     assert not reduced.has_client(other)
     assert all(o.action in (NOOP, PARTIAL_RETRAIN) for o in outcomes)
     # sampled multisets in the final history avoid the removed client
+    multisets = dict(store.decisions(1)[0])
     for r in range(1, hyper.rounds + 1):
-        assert other not in store.round_multiset(r)
+        assert other not in multisets[r]
 
 
 def test_parse_request_line():
