@@ -61,6 +61,7 @@ from .stability import (
     involvement_probability,
     tv_distance,
     unlearned_history_distribution,
+    unlearned_history_distributions,
 )
 from .store import HistoryStore, load_checkpoint, save_checkpoint
 from .unlearn import UnlearnOutcome, parse_request_line, process_stream, unlearn_request
@@ -124,4 +125,5 @@ __all__ = [
     "tv_distance",
     "unlearn_request",
     "unlearned_history_distribution",
+    "unlearned_history_distributions",
 ]

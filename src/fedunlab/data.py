@@ -28,7 +28,7 @@ from .streams import DOMAIN_DATA, substream
 
 FULL_HISTORY = "full_history"
 COMPACT = "compact"
-_STORAGE_MODES = (FULL_HISTORY, COMPACT)
+STORAGE_MODES = (FULL_HISTORY, COMPACT)
 
 
 class DataPoint(NamedTuple):
@@ -245,7 +245,7 @@ class HyperParams:
             raise InvalidArgumentError("batch_size exceeds samples_per_client")
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise InvalidArgumentError("lr must be positive and finite")
-        if self.storage_mode not in _STORAGE_MODES:
+        if self.storage_mode not in STORAGE_MODES:
             raise InvalidArgumentError(f"unknown storage_mode {self.storage_mode!r}")
 
     @property

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedunlab import stability
 from fedunlab.bench import (
     ExperimentConfig,
     MetricsRow,
@@ -24,7 +25,14 @@ from fedunlab.bench import (
     unlearning_efficiency_report,
 )
 from fedunlab.cli import main as cli_main
-from fedunlab.data import UnlearnRequest, export_dataset, generate_synthetic, import_dataset
+from fedunlab.data import (
+    COMPACT,
+    UnlearnRequest,
+    export_dataset,
+    generate_synthetic,
+    import_dataset,
+)
+from fedunlab.engine import ReplayPlan
 from fedunlab.errors import InvalidArgumentError
 from fedunlab.losses import make_loss
 from fedunlab.store import load_checkpoint
@@ -491,8 +499,31 @@ def test_cli_stream_data_out_resumes(tmp_path, capsys):
 def test_cli_verify(capsys):
     assert cli_main(["verify", "--kind", "sample"]) == 0
     assert cli_main(["verify", "--kind", "client"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("verdict=pass") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert all("verdict=pass" in line for line in lines)
+    assert [line.split()[0] for line in lines] == [
+        "sample-full_history", "sample-compact", "client-full_history", "client-compact",
+    ]
+
+
+def test_cli_verify_fails_when_only_compact_is_wrong(monkeypatch, capsys):
+    """verify certifies each store mode on its own: a rule that is wrong
+    only for a compact store fails that line and the exit code."""
+    shipped = stability.couple
+
+    def keep_unused_on_compact(request, mode, first_use, multisets, records, local_steps):
+        # Conditions on non-involvement: keeps the history when the
+        # point was never used.
+        if mode == COMPACT and request.kind == "sample" and first_use is None:
+            return None, ReplayPlan()
+        return shipped(request, mode, first_use, multisets, records, local_steps)
+
+    monkeypatch.setattr(stability, "couple", keep_unused_on_compact)
+    assert cli_main(["verify", "--kind", "sample"]) == 1
+    full, compact = capsys.readouterr().out.splitlines()
+    assert full.startswith("sample-full_history ") and "verdict=pass" in full
+    assert compact.startswith("sample-compact ") and "verdict=fail" in compact
 
 
 def test_cli_bench_and_report(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact distribution lab: enumeration, deletion couplings, involvement
 probabilities, equivalence harnesses."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from fedunlab.data import (
     generate_synthetic,
     remove_client,
     remove_sample,
+    remove_target,
 )
 from fedunlab.engine import ReplayPlan
 from fedunlab.errors import BinsTooFineError, InvalidArgumentError, TooLargeToEnumerateError
@@ -28,6 +30,7 @@ from fedunlab.stability import (
     involvement_probability,
     tv_distance,
     unlearned_history_distribution,
+    unlearned_history_distributions,
 )
 from fedunlab.streams import substream
 from fedunlab.unlearn import build_sample_replay_plan
@@ -227,6 +230,68 @@ def test_sample_coupling_infeasible_after_deletion(micro_dataset):
                              issue_step=2)
     with pytest.raises(InvalidArgumentError):
         unlearned_history_distribution(hyper, micro_dataset, request)
+
+
+def test_infeasible_deletion_rejected_before_enumerating(micro_dataset, monkeypatch):
+    """A deletion that leaves a client smaller than the batch is refused
+    before any round outcome is built."""
+    def no_outcomes(*args):
+        raise AssertionError("a round outcome was built before the request was refused")
+
+    monkeypatch.setattr(stability, "_round_outcomes", no_outcomes)
+    hyper = _hyper(2, 2, 2, 1, 1, 2)
+    request = UnlearnRequest(kind="sample", target_client=0,
+                             target_uid=micro_dataset.client(0).uids[0], issue_step=2)
+    with pytest.raises(InvalidArgumentError, match="smaller than the batch size"):
+        unlearned_history_distributions(hyper, micro_dataset, request, (FULL_HISTORY, COMPACT))
+
+
+def _unequal_dataset():
+    """Three clients of sizes 2, 3 and 3."""
+    dataset = _dataset(3, 3)
+    cid = dataset.client_ids[0]
+    return remove_sample(dataset, cid, dataset.client(cid).uids[0])
+
+
+@pytest.mark.parametrize("local_steps,batch_size", [(1, 2), (2, 1)])
+def test_integer_weights_exact_on_unequal_clients(local_steps, batch_size):
+    """Every history's probability is the product of its multiset's
+    probability and 1/C(n_c, b) for every batch drawn from client c,
+    when clients differ in size; the probabilities sum to exactly 1."""
+    dataset = _unequal_dataset()
+    assert sorted(c.size for c in dataset.clients) == [2, 3, 3]
+    hyper = _hyper(3, 3, 2 * local_steps, local_steps, 2, batch_size)
+    dist = enumerate_history_distribution(hyper, dataset)
+    for history, prob in zip(dist.support, dist.probs):
+        expected = Fraction(1)
+        for multiset, body in history:
+            expected *= _multiset_probability(multiset, dataset.num_clients)
+            for client_id, batches in body:
+                assert len(batches) == local_steps
+                for batch in batches:
+                    assert len(batch) == batch_size
+                    assert set(batch) <= set(dataset.client(client_id).uids)
+                    expected /= math.comb(dataset.client(client_id).size, batch_size)
+        assert prob == expected
+    assert sum(dist.probs) == 1
+
+
+@pytest.mark.parametrize("kind", ["sample", "client"])
+def test_both_modes_match_per_mode_calls_on_unequal_clients(kind):
+    """The shared both-modes path gives each mode's distribution exactly
+    as a call for that mode alone does, at TV 0 from a retrain."""
+    dataset = _unequal_dataset()
+    cid = dataset.client_ids[-1]
+    uid = dataset.client(cid).uids[0] if kind == "sample" else None
+    request = UnlearnRequest(kind=kind, target_client=cid, target_uid=uid, issue_step=2)
+    config = (3, 3, 2, 1, 2, 1)
+    modes = (FULL_HISTORY, COMPACT)
+    both = unlearned_history_distributions(_hyper(*config), dataset, request, modes)
+    retrain = enumerate_history_distribution(_hyper(*config), remove_target(dataset, request))
+    for mode in modes:
+        alone = unlearned_history_distribution(_hyper(*config, storage_mode=mode), dataset, request)
+        assert both[mode].as_dict() == alone.as_dict()
+        assert tv_distance(both[mode], retrain) == 0
 
 
 # ----------------------------------------------------------------------
