@@ -17,6 +17,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -247,7 +248,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged, and each subcommand's handler is bound when it is built."""
     parser = argparse.ArgumentParser(
         prog="fedunlab",
         description="Deterministic federated training with exact sample and client deletion.",

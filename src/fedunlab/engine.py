@@ -15,6 +15,20 @@ stored, so a re-run starts at a round start, where every local model
 is the round's global model. Re-execution of a suffix is bit-identical
 as long as the store's epoch is unchanged, because every draw is keyed
 by (seed, purpose, epoch, iteration context).
+
+A run walks the schedule in windows of rounds of about WINDOW_DECISIONS
+decisions. At a window's first round it draws the window's unpinned
+multisets, then its unpinned batches, each in one array pass:
+streams.philox_words gives every key's 32-bit words, and draw_multisets
+and draw_subsets repeat on them numpy's integer steps (Lemire's bounded
+draw, Floyd's algorithm for choice without replacement). Integers only,
+so each decision equals the one-at-a-time draw of
+sample_client_multiset or sample_minibatch, which remain the reference
+and still draw a pass below MIN_ARRAY_DECISIONS, any key whose word
+Lemire's method would reject, choice's tail-shuffle case and every
+batch that cannot be drawn. tests/test_streams.py checks the kernels
+against numpy, so a numpy change to Philox, its bounded draw or choice
+fails there.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import FULL_HISTORY, FederatedDataset, HyperParams
+from .data import FULL_HISTORY, ClientDataset, FederatedDataset, HyperParams
 from .errors import (
     CorruptedHistoryError,
     InfeasibleBatchError,
@@ -33,7 +47,14 @@ from .errors import (
 )
 from .losses import LossModel
 from .store import HistoryStore
-from .streams import DOMAIN_CLIENT_SAMPLING, DOMAIN_MINIBATCH, RekeyedPhilox, stream_key
+from .streams import (
+    DOMAIN_CLIENT_SAMPLING,
+    DOMAIN_MINIBATCH,
+    RekeyedPhilox,
+    fold_keys,
+    philox_words,
+    stream_key,
+)
 
 
 @dataclass(frozen=True)
@@ -73,6 +94,210 @@ def sample_minibatch(
         )
     rows = rng.choice(len(uids), size=batch_size, replace=False)
     return tuple(sorted(uids[i] for i in rows))
+
+
+# The array path draws a window of about WINDOW_DECISIONS decisions at
+# once; a pass with fewer than MIN_ARRAY_DECISIONS fresh decisions is
+# drawn one decision at a time, where the arrays' fixed cost would not
+# pay off.
+WINDOW_DECISIONS = 4096
+MIN_ARRAY_DECISIONS = 32
+
+_TWO32 = np.uint64(1 << 32)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# numpy's choice(n, b, replace=False) shuffles the tail of arange(n)
+# instead of running Floyd's algorithm when n > 10,000 and b > n // 50.
+_TAIL_SHUFFLE_MIN = 10_000
+_TAIL_SHUFFLE_DIVISOR = 50
+
+
+def _lemire(words: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw in [0, bound) from one 32-bit word each, for
+    bound < 2^32 (Lemire, ACM TOMACS 2019): the high half of word *
+    bound. Where the low half falls below 2^32 mod bound numpy rejects
+    the word and draws again; those entries are flagged."""
+    product = words * bound
+    return product >> _SHIFT32, (product & _MASK32) < _TWO32 % bound
+
+
+def draw_multisets(
+    lo: np.ndarray, hi: np.ndarray, population: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The indices into population (< 2^32, numpy's 32-bit draw) that
+    sample_client_multiset draws from each key (lo[i], hi[i]), as a
+    (keys, count) array in draw order, and a flag for every key whose
+    draws must be taken one at a time."""
+    # numpy reads no word for a population of one; every draw is 0 here too
+    draws, rejected = _lemire(philox_words(lo, hi, count), np.uint64(population))
+    return draws.astype(np.int64), rejected.any(axis=1)
+
+
+def draw_subsets(
+    lo: np.ndarray, hi: np.ndarray, sizes: np.ndarray, batch_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row indices that sample_minibatch draws from each key (lo[i],
+    hi[i]) out of sizes[i] rows (batch_size <= sizes[i] < 2^32),
+    ascending, as a (keys, batch_size) array, and a flag for every key
+    whose draw must be taken one at a time.
+
+    numpy's choice runs Floyd's algorithm: for k = 0, ..., b - 1 it
+    draws v_k in [0, j_k], j_k = n - b + k, and adds v_k to the set, or
+    j_k if v_k is already in it. The final shuffle reorders the set
+    without changing it. The draw for j = 0 reads no word, which shifts
+    the words of the later draws, but j = 0 only occurs for n = b, where
+    the set is every row whatever the words. Keys are flagged where a
+    word would be rejected and where choice would shuffle instead.
+
+    Before draw k the set is {v_m : m < k} together with j_m for each
+    earlier m whose v_m was taken, so v_k is taken if it repeats an
+    earlier draw or if it is j_m for m = v_k - (n - b) < k with v_m
+    taken. That keeps the work per key near b log b, not the b^2 of
+    testing each draw against the set."""
+    sizes = np.asarray(sizes, dtype=np.uint64)
+    flagged = (sizes > _TAIL_SHUFFLE_MIN) & (
+        batch_size > sizes // np.uint64(_TAIL_SHUFFLE_DIVISOR)
+    )
+    tops = sizes[:, None] - np.arange(batch_size, 0, -1, dtype=np.uint64)
+    values, rejected = _lemire(philox_words(lo, hi, batch_size), tops + np.uint64(1))
+    flagged |= rejected.any(axis=1)
+    # repeats of an earlier draw: all but the first of equal values,
+    # which a stable sort keeps in draw order
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    taken = np.zeros(values.shape, dtype=bool)
+    np.put_along_axis(taken, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
+    earlier = values.astype(np.int64) - tops[:, :1].astype(np.int64)
+    keys = np.arange(len(sizes))
+    for k in range(1, batch_size):
+        hit = (earlier[:, k] >= 0) & (earlier[:, k] < k)
+        taken[:, k] |= hit & taken[keys, np.where(hit, earlier[:, k], 0)]
+    return np.sort(np.where(taken, tops, values), axis=1).astype(np.int64), flagged
+
+
+class _Sampler:
+    """Every sampling decision of one run_fats call: pinned by the replay
+    plan, drawn with the current window, or drawn on its own.
+
+    draw_window draws a window's fresh multisets, then its fresh batches,
+    each pass through the array kernels; keys those flag, and passes
+    below MIN_ARRAY_DECISIONS, are left to multiset() and batch(), which
+    draw one decision through RekeyedPhilox. Either way a decision is the
+    keyed draw of the scalar samplers, so the run is the same. Batches
+    that cannot be drawn (missing or too small clients) are left to
+    batch() too, so errors surface where the loop reaches them."""
+
+    def __init__(
+        self, hyper: HyperParams, dataset: FederatedDataset, epoch: int, plan: ReplayPlan
+    ) -> None:
+        self._dataset = dataset
+        self._active = dataset.client_ids
+        self._count = hyper.clients_per_round
+        self._batch_size = hyper.batch_size
+        self._steps = hyper.local_steps
+        self._pinned_multisets = plan.round_multisets
+        self._pinned_batches = plan.batches
+        # One generator for the run, re-keyed per decision; the (seed,
+        # domain, epoch) part of every key is folded once here.
+        self._streams = RekeyedPhilox()
+        self._multiset_key = stream_key(hyper.seed, DOMAIN_CLIENT_SAMPLING, epoch)
+        self._batch_key = stream_key(hyper.seed, DOMAIN_MINIBATCH, epoch)
+        self._multisets: dict[int, tuple[int, ...]] = {}
+        self._batches: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._uids: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def multiset(self, round_index: int) -> tuple[int, ...]:
+        multiset = self._pinned_multisets.get(round_index)
+        if multiset is None:
+            multiset = self._multisets.get(round_index)
+        if multiset is None:
+            rng = self._streams.rekey(self._multiset_key, round_index)
+            multiset = sample_client_multiset(rng, self._active, self._count)
+        return multiset
+
+    def batch(self, t: int, client: ClientDataset) -> tuple[int, ...]:
+        key = (t, client.client_id)
+        batch = self._pinned_batches.get(key)
+        if batch is None:
+            batch = self._batches.get(key)
+        if batch is None:
+            if self._batch_size > client.size:
+                raise InfeasibleBatchError(
+                    f"client {client.client_id} holds {client.size} points; cannot "
+                    f"draw a batch of {self._batch_size}"
+                )
+            rng = self._streams.rekey(self._batch_key, t, client.client_id)
+            batch = sample_minibatch(rng, client.uids, self._batch_size)
+        return batch
+
+    def draw_window(self, first_round: int, stop_round: int) -> None:
+        """Draw the fresh decisions of rounds first_round..stop_round - 1."""
+        multisets = self._multisets
+        multisets.clear()
+        self._batches.clear()
+        if (stop_round - first_round) * (1 + self._steps * self._count) < MIN_ARRAY_DECISIONS:
+            return  # too few decisions for either pass
+        rounds = range(first_round, stop_round)
+        fresh = [r for r in rounds if r not in self._pinned_multisets]
+        if fresh and not self._active:
+            return  # multiset() raises when the loop reaches the round
+        if fresh and len(fresh) >= MIN_ARRAY_DECISIONS:
+            lo, hi = fold_keys(self._multiset_key, np.array(fresh))
+            draws, flagged = draw_multisets(lo, hi, len(self._active), self._count)
+            ids = np.sort(np.array(self._active)[draws], axis=1).tolist()
+            for r, row, skip in zip(fresh, ids, flagged.tolist()):
+                if not skip:
+                    multisets[r] = tuple(row)
+        # the batch pass needs every multiset of the window
+        for r in fresh:
+            if r not in multisets:
+                multisets[r] = self.multiset(r)
+        self._draw_batches(rounds)
+
+    def _draw_batches(self, rounds: range) -> None:
+        pinned = self._pinned_batches
+        dataset = self._dataset
+        batch_size = self._batch_size
+        steps = self._steps
+        keys = [
+            (t, cid)
+            for r in rounds
+            for cid in set(self.multiset(r))
+            if dataset.has_client(cid) and dataset.client(cid).size >= batch_size
+            for t in range((r - 1) * steps + 1, r * steps + 1)
+            if (t, cid) not in pinned
+        ]
+        if not keys or len(keys) < MIN_ARRAY_DECISIONS:
+            return
+        times, client_ids = np.array(keys).T
+        values, objects, offsets, sizes = self._uid_table()
+        at = np.searchsorted(self._active, client_ids)
+        lo, hi = fold_keys(self._batch_key, times, client_ids)
+        rows, flagged = draw_subsets(lo, hi, sizes[at], batch_size)
+        rows += offsets[at][:, None]
+        rows = np.take_along_axis(rows, np.argsort(values[rows], axis=1), axis=1)
+        fresh = self._batches
+        for key, batch, skip in zip(keys, objects[rows].tolist(), flagged.tolist()):
+            if not skip:
+                fresh[key] = tuple(batch)
+
+    def _uid_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every client's uids end to end in client id order, as int64
+        values and as the int objects of client.uids (so a batch shares
+        them, as a scalar draw's does), and each client's offset in them
+        and size."""
+        if self._uids is None:
+            clients = [self._dataset.client(cid) for cid in self._active]
+            sizes = np.array([c.size for c in clients])
+            objects = np.empty(int(sizes.sum()), dtype=object)
+            objects[:] = [uid for c in clients for uid in c.uids]
+            self._uids = (
+                np.concatenate([c.uid_array for c in clients]),
+                objects,
+                np.cumsum(sizes) - sizes,
+                sizes,
+            )
+        return self._uids
 
 
 def local_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
@@ -133,21 +358,11 @@ def run_fats(
     if store.local_steps != steps:
         raise InvalidArgumentError("store and hyper disagree on local_steps")
 
-    seed = hyper.seed
-    count = hyper.clients_per_round
-    batch_size = hyper.batch_size
-    lr = hyper.lr
-    active = dataset.client_ids
-    epoch = store.epoch
-    # One generator for the run, re-keyed per decision; the (seed,
-    # domain, epoch) part of every key is folded once here.
-    streams = RekeyedPhilox()
-    multiset_key = stream_key(seed, DOMAIN_CLIENT_SAMPLING, epoch)
-    batch_key = stream_key(seed, DOMAIN_MINIBATCH, epoch)
-    plan = ReplayPlan() if replay is None else replay
-    pinned_multisets, pinned_batches = plan.round_multisets, plan.batches
-
+    sampler = _Sampler(hyper, dataset, store.epoch, ReplayPlan() if replay is None else replay)
     first_round = store.round_of(start_iteration)
+    last_round = store.round_of(total)
+    # a round holds one multiset and at most local_steps * K batches
+    window_rounds = max(1, WINDOW_DECISIONS // (1 + steps * hyper.clients_per_round))
     if start_iteration > 1 and store.loss_name != loss.name:
         raise InvalidArgumentError(
             f"the store was trained under the {store.loss_name} loss, not {loss.name}"
@@ -160,31 +375,21 @@ def run_fats(
         store.loss_name = loss.name
         store.record_global(0, theta)
 
+    lr = hyper.lr
     multiset: tuple[int, ...] | None = None
     locals_: dict[int, np.ndarray] = {}
     for t in range(start_iteration, total + 1):
         round_index = store.round_of(t)
         if t == store.round_start_iteration(round_index):
-            multiset = pinned_multisets.get(round_index)
-            if multiset is None:
-                rng = streams.rekey(multiset_key, round_index)
-                multiset = sample_client_multiset(rng, active, count)
+            if (round_index - first_round) % window_rounds == 0:
+                sampler.draw_window(round_index, min(round_index + window_rounds, last_round + 1))
+            multiset = sampler.multiset(round_index)
             store.record_round_start(round_index, multiset)
             locals_ = {cid: theta.copy() for cid in set(multiset)}
         assert multiset is not None
         for client_id in sorted(set(multiset)):
-            pinned_batch = pinned_batches.get((t, client_id))
             client = dataset.client(client_id)
-            if pinned_batch is not None:
-                batch = pinned_batch
-            else:
-                if batch_size > client.size:
-                    raise InfeasibleBatchError(
-                        f"client {client_id} holds {client.size} points; cannot "
-                        f"draw a batch of {batch_size}"
-                    )
-                rng = streams.rekey(batch_key, t, client_id)
-                batch = sample_minibatch(rng, client.uids, batch_size)
+            batch = sampler.batch(t, client)
             rows = client.rows_for(batch)
             grad = loss.mean_grad(
                 locals_[client_id],

@@ -3,15 +3,18 @@ resume, and replay."""
 
 import copy
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fedunlab import engine
 from fedunlab.data import (
     FULL_HISTORY,
     ClientDataset,
     FederatedDataset,
     HyperParams,
+    UnlearnRequest,
     generate_synthetic,
 )
 from fedunlab.engine import (
@@ -29,6 +32,7 @@ from fedunlab.errors import (
 from fedunlab.losses import make_loss
 from fedunlab.store import HistoryStore
 from fedunlab.streams import DOMAIN_MINIBATCH, substream
+from fedunlab.unlearn import unlearn_request
 
 from conftest import micro_hyper
 
@@ -264,3 +268,135 @@ def test_micro_hyper_budget_derivation(micro_dataset):
     assert hyper.rounds == 2
     assert hyper.rho_sample_realized == pytest.approx(0.5)
     assert hyper.rho_client_realized == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# array draws against one-at-a-time draws
+
+
+def _both_paths(monkeypatch, run):
+    """run() with every fresh decision drawn by the array kernels (small
+    windows, no cutoff) and with every one drawn alone."""
+    results = []
+    for cutoff in (0, 10**9):
+        monkeypatch.setattr(engine, "WINDOW_DECISIONS", 24)
+        monkeypatch.setattr(engine, "MIN_ARRAY_DECISIONS", cutoff)
+        results.append(run())
+    return results
+
+
+def _assert_same(results):
+    (store_a, theta_a), (store_b, theta_b) = results
+    assert store_a.state_equal(store_b)
+    assert store_a.history_tuple() == store_b.history_tuple()
+    assert theta_a.tobytes() == theta_b.tobytes()
+
+
+def _churn():
+    dataset = generate_synthetic(
+        num_clients=6, samples_per_client=12, dim=2, classes=2, beta=0.5, seed=3
+    )
+    hyper = _hyper(
+        num_clients=6, samples_per_client=12, total_steps=60, local_steps=3,
+        clients_per_round=3, batch_size=3, seed=11,
+    )
+    return dataset, hyper, make_loss("logistic", 2)
+
+
+def _train(dataset, hyper, loss):
+    store = HistoryStore(FULL_HISTORY, hyper.local_steps)
+    return store, run_fats(1, hyper, dataset, store, loss)
+
+
+@pytest.mark.parametrize("uid_order", ["ascending", "descending"])
+def test_array_draws_equal_scalar_draws_in_training(monkeypatch, uid_order):
+    """A batch is sorted by uid, whatever order a client's rows hold
+    its uids in."""
+    dataset, hyper, loss = _churn()
+    if uid_order == "descending":
+        dataset = replace(dataset, clients=tuple(
+            replace(c, uid_array=c.uid_array[::-1]) for c in dataset.clients
+        ))
+    _assert_same(_both_paths(monkeypatch, lambda: _train(dataset, hyper, loss)))
+
+
+@pytest.mark.parametrize("kind", ["sample", "client"])
+def test_array_draws_equal_scalar_draws_in_deletions(monkeypatch, kind):
+    """A sample deletion replays pinned decisions and redraws the
+    contaminated batches; a client deletion bumps the epoch and redraws
+    the whole suffix from the client's first selection on."""
+    dataset, hyper, loss = _churn()
+    client = dataset.client_ids[2]
+    uid = dataset.client(client).uids[0] if kind == "sample" else None
+
+    def run():
+        store, _ = _train(dataset, hyper, loss)
+        outcome, _ = unlearn_request(
+            UnlearnRequest(kind, client, uid, hyper.total_steps), store, dataset, hyper, loss
+        )
+        assert outcome.action == "partial_retrain" and outcome.retrained_iterations > 20
+        return store, store.latest_global_model()
+
+    _assert_same(_both_paths(monkeypatch, run))
+
+
+def test_array_draws_leave_choice_tail_shuffle_to_scalar_path(monkeypatch):
+    """Client 0 holds 10,050 points and b = 202 > 10,050 // 50, where
+    numpy's choice shuffles instead of running Floyd: those batches are
+    drawn one at a time, client 1's by the array kernels."""
+    rng = np.random.default_rng(0)
+    clients = tuple(
+        ClientDataset(cid, uid_array=np.arange(size) + 20_000 * cid,
+                      features_matrix=rng.normal(size=(size, 2)),
+                      labels_vector=rng.integers(0, 2, size=size).astype(float))
+        for cid, size in ((0, 10_050), (1, 300))
+    )
+    dataset = FederatedDataset(
+        clients=clients, classes=2, dim=2, declared_samples_per_client=300, seed=0
+    )
+    hyper = _hyper(
+        num_clients=2, samples_per_client=300, total_steps=12, local_steps=2,
+        clients_per_round=2, batch_size=202,
+    )
+    loss = make_loss("quadratic", 2)
+    scalar_sizes = []
+
+    def counted(rng, uids, batch_size):
+        scalar_sizes.append(len(uids))
+        return sample_minibatch(rng, uids, batch_size)
+
+    monkeypatch.setattr(engine, "sample_minibatch", counted)
+
+    def run():
+        scalar_sizes.clear()
+        return (*_train(dataset, hyper, loss), list(scalar_sizes))
+
+    (store_a, theta_a, alone_a), (store_b, theta_b, alone_b) = _both_paths(monkeypatch, run)
+    _assert_same([(store_a, theta_a), (store_b, theta_b)])
+    assert set(alone_a) == {10_050}
+    assert set(alone_b) == {10_050, 300}
+
+
+def test_array_draws_raise_where_scalar_draws_raise(monkeypatch):
+    """A client too small for a fresh batch raises at the same iteration
+    on both paths and leaves the same store."""
+    dataset = FederatedDataset(
+        clients=tuple(
+            ClientDataset(cid, uid_array=np.arange(size) + 100 * cid,
+                          features_matrix=np.ones((size, 1)), labels_vector=np.zeros(size))
+            for cid, size in ((0, 6), (1, 6), (2, 2))
+        ),
+        classes=2, dim=1, declared_samples_per_client=6, seed=0,
+    )
+    hyper = _hyper(num_clients=3, samples_per_client=6, total_steps=40, batch_size=3)
+    loss = make_loss("quadratic", 1)
+
+    def run():
+        store = HistoryStore(FULL_HISTORY, hyper.local_steps)
+        with pytest.raises(InfeasibleBatchError) as error:
+            run_fats(1, hyper, dataset, store, loss)
+        return store, str(error.value)
+
+    (store_a, error_a), (store_b, error_b) = _both_paths(monkeypatch, run)
+    assert error_a == error_b and store_a.next_iteration > 1
+    assert store_a.state_equal(store_b)

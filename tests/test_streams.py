@@ -2,16 +2,20 @@
 
 The literal values below pin the mapping from keys to draws: a change
 to the key derivation, or to how a generator is built or re-keyed,
-fails here.
+fails here. The array kernels are checked against numpy itself, so a
+numpy release that changes Philox, its bounded integer draw or the
+algorithm of choice(replace=False) fails here too.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedunlab.data import FULL_HISTORY, HyperParams, UnlearnRequest, generate_synthetic
-from fedunlab.engine import run_fats
+from fedunlab.engine import draw_multisets, draw_subsets, run_fats, sample_client_multiset
 from fedunlab.losses import make_loss
 from fedunlab.store import HistoryStore
 from fedunlab.streams import (
@@ -22,6 +26,8 @@ from fedunlab.streams import (
     DOMAIN_TRIAL,
     RekeyedPhilox,
     derive_trial_seeds,
+    fold_keys,
+    philox_words,
     stream_key,
     substream,
 )
@@ -122,6 +128,133 @@ def test_rekeyed_draws_equal_substream(kind, how):
         rng = streams.rekey(stream_key(*head), *tail)
         assert np.array_equal(_draw(rng, kind), _draw(substream(*head, *tail), kind))
         _use_part(rng, how)
+
+
+# ----------------------------------------------------------------------
+# array kernels
+
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+def _keys(count, seed=0):
+    rng = np.random.default_rng(seed)
+    return tuple(rng.integers(0, 2**64, size=count, dtype=np.uint64) for _ in range(2))
+
+
+def _generator(lo, hi):
+    return np.random.Generator(np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)))
+
+
+def _raw_words(lo, hi, count):
+    """next_uint32's words of a fresh Philox, from its 64-bit outputs."""
+    raw = np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)).random_raw(-(-count // 2))
+    return [half for value in raw.tolist() for half in (value & 0xFFFFFFFF, value >> 32)][:count]
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(st.tuples(_U64, _U64), min_size=1, max_size=5), count=st.integers(1, 20))
+def test_philox_words_equal_random_raw(keys, count):
+    lo = np.array([k[0] for k in keys], dtype=np.uint64)
+    hi = np.array([k[1] for k in keys], dtype=np.uint64)
+    words = philox_words(lo, hi, count)
+    assert words.shape == (len(keys), count)
+    for row, (key_lo, key_hi) in zip(words.tolist(), keys):
+        assert row == _raw_words(key_lo, key_hi, count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=_U64,
+    epoch=st.integers(0, 2**40),
+    parts=st.lists(
+        st.tuples(st.integers(-(2**63), 2**63 - 1), st.integers(0, 2**63 - 1)),
+        min_size=1, max_size=6,
+    ),
+)
+def test_fold_keys_equal_stream_key_and_rekey(seed, epoch, parts):
+    prefix = stream_key(seed, DOMAIN_MINIBATCH, epoch)
+    first = np.array([p[0] for p in parts])
+    second = np.array([p[1] for p in parts])
+    lo, hi = fold_keys(prefix, first, second)
+    one_lo, one_hi = fold_keys(prefix, first)
+    streams = RekeyedPhilox()
+    for i, (a, b) in enumerate(parts):
+        assert (int(lo[i]), int(hi[i])) == stream_key(seed, DOMAIN_MINIBATCH, epoch, a, b)
+        assert (int(one_lo[i]), int(one_hi[i])) == stream_key(seed, DOMAIN_MINIBATCH, epoch, a)
+        key = streams.rekey(prefix, a, b).bit_generator.state["state"]["key"]
+        assert key.tolist() == [int(lo[i]), int(hi[i])]
+
+
+@pytest.mark.parametrize("n, b", [
+    (4, 4), (5, 4), (50, 4), (2000, 4), (10_000, 4), (12_000, 240),
+    (30, 1), (30, 9), (30, 17), (17, 17), (18, 17),
+])
+def test_floyd_sets_equal_sorted_choice(n, b):
+    """b > 8 reads a second Philox block; n = b takes no word for its
+    first draw; (12,000, 240) is the largest b that still runs Floyd."""
+    count = 300 if b < 100 else 40
+    lo, hi = _keys(count, seed=n * 1000 + b)
+    rows, flagged = draw_subsets(lo, hi, np.full(count, n), b)
+    assert not flagged.any()
+    for i in range(count):
+        expected = sorted(_generator(lo[i], hi[i]).choice(n, size=b, replace=False).tolist())
+        assert rows[i].tolist() == expected
+
+
+def test_floyd_sets_with_mixed_sizes():
+    lo, hi = _keys(500, seed=3)
+    sizes = np.random.default_rng(4).integers(4, 60, size=500)
+    rows, flagged = draw_subsets(lo, hi, sizes, 4)
+    assert not flagged.any()
+    for i in range(500):
+        expected = sorted(_generator(lo[i], hi[i]).choice(int(sizes[i]), size=4, replace=False).tolist())
+        assert rows[i].tolist() == expected
+
+
+@pytest.mark.parametrize("population, count", [(1, 3), (2, 2), (20, 4), (7, 12)])
+def test_multiset_draws_equal_sample_client_multiset(population, count):
+    """One client is numpy's range 0 (no word read); count > 8 reads a
+    second Philox block."""
+    ids = tuple(range(10, 10 + population))
+    lo, hi = _keys(300, seed=population)
+    draws, flagged = draw_multisets(lo, hi, population, count)
+    assert not flagged.any()
+    for i in range(300):
+        ours = tuple(sorted(ids[j] for j in draws[i]))
+        assert ours == sample_client_multiset(_generator(lo[i], hi[i]), ids, count)
+
+
+def _rejects(words, bounds):
+    """Whether numpy's bounded draw rejects a word, drawing bound by
+    bound and reading no word for a bound of 1."""
+    words = iter(words)
+    for bound in bounds:
+        if bound > 1 and (next(words) * bound) % 2**32 < 2**32 % bound:
+            return True
+    return False
+
+
+def test_rejections_and_tail_shuffle_are_flagged():
+    """A population of 3 * 2^30 makes about one word in four reject;
+    exactly the keys whose draws reject are flagged, and every other key
+    matches numpy. (12,000, 241) is choice's tail shuffle: all flagged."""
+    n = 3 * 2**30
+    lo, hi = _keys(400, seed=5)
+    rows, flagged = draw_subsets(lo, hi, np.full(400, n), 4)
+    draws, multiset_flagged = draw_multisets(lo, hi, n, 3)
+    for i in range(400):
+        words = _raw_words(lo[i], hi[i], 4)
+        assert flagged[i] == _rejects(words, range(n - 3, n + 1))
+        assert multiset_flagged[i] == _rejects(words, [n] * 3)
+        if not flagged[i]:
+            expected = sorted(_generator(lo[i], hi[i]).choice(n, size=4, replace=False).tolist())
+            assert rows[i].tolist() == expected
+        if not multiset_flagged[i]:
+            assert draws[i].tolist() == _generator(lo[i], hi[i]).integers(0, n, size=3).tolist()
+    assert 0 < flagged.sum() < 400 and 0 < multiset_flagged.sum() < 400
+    _, shuffled = draw_subsets(lo[:20], hi[:20], np.full(20, 12_000), 241)
+    assert shuffled.all()
 
 
 def test_training_and_deletion_bytes_are_pinned():
