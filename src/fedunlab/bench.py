@@ -447,7 +447,11 @@ def run_experiment(config: ExperimentConfig, write_files: bool = True) -> list[R
     return results
 
 
-def convergence_summary(metrics: list[MetricsRow], *, plateau_fraction: float = 0.25) -> dict:
+# the share of a run's last rounds convergence_summary's plateau averages
+PLATEAU_FRACTION = 0.25
+
+
+def convergence_summary(metrics: list[MetricsRow]) -> dict:
     """Summarize one configuration's runs: the running-average gradient
     norm trend and a plateau estimate over the last rounds."""
     if not metrics:
@@ -459,7 +463,7 @@ def convergence_summary(metrics: list[MetricsRow], *, plateau_fraction: float = 
     finals = []
     for run_rows in by_run.values():
         run_rows.sort(key=lambda r: r.round)
-        tail = max(1, int(len(run_rows) * plateau_fraction))
+        tail = max(1, int(len(run_rows) * PLATEAU_FRACTION))
         plateaus.append(float(np.mean([r.grad_norm_sq for r in run_rows[-tail:]])))
         finals.append(run_rows[-1].avg_grad_norm_sq)
     return {

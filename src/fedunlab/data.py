@@ -346,12 +346,16 @@ class UnlearnRequest:
             raise InvalidArgumentError("issue_step must be >= 1")
 
 
-def _class_means(classes: int, dim: int, scale: float = 2.0) -> np.ndarray:
+# the amplitude step of _class_means
+CLASS_MEAN_SCALE = 2.0
+
+
+def _class_means(classes: int, dim: int) -> np.ndarray:
     """Fixed per-class means: scaled unit directions, wrapping with an
     amplitude step once class count exceeds the dimension."""
     means = np.zeros((classes, dim), dtype=np.float64)
     for c in range(classes):
-        means[c, c % dim] = scale * (1 + c // dim)
+        means[c, c % dim] = CLASS_MEAN_SCALE * (1 + c // dim)
     return means
 
 

@@ -1,12 +1,14 @@
 """Federated averaging engine with per-decision random streams.
 
-Training runs in rounds of local_steps iterations. At a round start the
-server draws a multiset of clients_per_round clients uniformly with
-replacement and broadcasts the current global model; every distinct
-selected client then performs one mini-batch SGD step per iteration
-(a client drawn twice runs once but carries weight two in the average).
-At a round end the multiplicity-weighted mean of the local models
-becomes the new global model.
+run_fats is FATS as written: a loop over windows of rounds, a loop over
+each window's rounds and, inside a round, its local_steps iterations
+over the round's distinct clients. A round records the multiset of
+clients_per_round clients the server drew uniformly with replacement
+and broadcasts the current global model; every distinct selected client
+then performs one mini-batch SGD step per iteration (a client drawn
+twice runs once but carries weight two in the average), and the
+multiplicity-weighted mean of the local models becomes the new global
+model.
 
 Every sampling decision and every round's global model is recorded in
 the history store, which is what makes deletions verifiable in O(1) and
@@ -16,13 +18,14 @@ is the round's global model. Re-execution of a suffix is bit-identical
 as long as the store's epoch is unchanged, because every draw is keyed
 by (seed, purpose, epoch, iteration context).
 
-A run walks the schedule in windows of rounds of about WINDOW_DECISIONS
-decisions. At a window's first round it draws the window's unpinned
-multisets, then its unpinned batches, each in one array pass:
-streams.philox_words gives every key's 32-bit words, and draw_multisets
-and draw_subsets repeat on them numpy's integer steps (Lemire's bounded
-draw, Floyd's algorithm for choice without replacement). Integers only,
-so each decision equals the one-at-a-time draw of
+A window holds about WINDOW_DECISIONS decisions. At its start the
+sampler settles the window's multisets and draws its unpinned batches,
+each in one array pass: streams.philox_words gives every key's 32-bit
+words, and draw_multisets and draw_subsets repeat on them numpy's
+integer steps (Lemire's bounded draw; Floyd's algorithm for choice
+without replacement, run plainly in b^2 comparisons per key, since
+every shipped config and benchmark workload draws b <= 8). Integers
+only, so each decision equals the one-at-a-time draw of
 sample_client_multiset or sample_minibatch, which remain the reference
 and still draw a pass below MIN_ARRAY_DECISIONS, any key whose word
 Lemire's method would reject, choice's tail-shuffle case and every
@@ -50,6 +53,8 @@ from .store import HistoryStore
 from .streams import (
     DOMAIN_CLIENT_SAMPLING,
     DOMAIN_MINIBATCH,
+    _MASK32,
+    _SHIFT32,
     RekeyedPhilox,
     fold_keys,
     philox_words,
@@ -104,8 +109,6 @@ WINDOW_DECISIONS = 4096
 MIN_ARRAY_DECISIONS = 32
 
 _TWO32 = np.uint64(1 << 32)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 # numpy's choice(n, b, replace=False) shuffles the tail of arange(n)
 # instead of running Floyd's algorithm when n > 10,000 and b > n // 50.
 _TAIL_SHUFFLE_MIN = 10_000
@@ -147,45 +150,32 @@ def draw_subsets(
     without changing it. The draw for j = 0 reads no word, which shifts
     the words of the later draws, but j = 0 only occurs for n = b, where
     the set is every row whatever the words. Keys are flagged where a
-    word would be rejected and where choice would shuffle instead.
-
-    Before draw k the set is {v_m : m < k} together with j_m for each
-    earlier m whose v_m was taken, so v_k is taken if it repeats an
-    earlier draw or if it is j_m for m = v_k - (n - b) < k with v_m
-    taken. That keeps the work per key near b log b, not the b^2 of
-    testing each draw against the set."""
+    word would be rejected and where choice would shuffle instead."""
     sizes = np.asarray(sizes, dtype=np.uint64)
     flagged = (sizes > _TAIL_SHUFFLE_MIN) & (
         batch_size > sizes // np.uint64(_TAIL_SHUFFLE_DIVISOR)
     )
     tops = sizes[:, None] - np.arange(batch_size, 0, -1, dtype=np.uint64)
-    values, rejected = _lemire(philox_words(lo, hi, batch_size), tops + np.uint64(1))
+    rows, rejected = _lemire(philox_words(lo, hi, batch_size), tops + np.uint64(1))
     flagged |= rejected.any(axis=1)
-    # repeats of an earlier draw: all but the first of equal values,
-    # which a stable sort keeps in draw order
-    order = np.argsort(values, axis=1, kind="stable")
-    ordered = np.take_along_axis(values, order, axis=1)
-    taken = np.zeros(values.shape, dtype=bool)
-    np.put_along_axis(taken, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
-    earlier = values.astype(np.int64) - tops[:, :1].astype(np.int64)
-    keys = np.arange(len(sizes))
     for k in range(1, batch_size):
-        hit = (earlier[:, k] >= 0) & (earlier[:, k] < k)
-        taken[:, k] |= hit & taken[keys, np.where(hit, earlier[:, k], 0)]
-    return np.sort(np.where(taken, tops, values), axis=1).astype(np.int64), flagged
+        repeats = (rows[:, :k] == rows[:, k, None]).any(axis=1)
+        rows[repeats, k] = tops[repeats, k]
+    return np.sort(rows, axis=1).astype(np.int64), flagged
 
 
 class _Sampler:
     """Every sampling decision of one run_fats call: pinned by the replay
     plan, drawn with the current window, or drawn on its own.
 
-    draw_window draws a window's fresh multisets, then its fresh batches,
-    each pass through the array kernels; keys those flag, and passes
-    below MIN_ARRAY_DECISIONS, are left to multiset() and batch(), which
-    draw one decision through RekeyedPhilox. Either way a decision is the
-    keyed draw of the scalar samplers, so the run is the same. Batches
-    that cannot be drawn (missing or too small clients) are left to
-    batch() too, so errors surface where the loop reaches them."""
+    draw_window settles a window's multisets in one dict (pinned, drawn
+    in one array pass, or drawn one at a time through
+    sample_client_multiset) and draws its fresh batches in one array
+    pass. Keys the kernels flag, passes below MIN_ARRAY_DECISIONS and
+    batches that cannot be drawn (missing or too small clients) are left
+    to batch(), which draws one decision through RekeyedPhilox when the
+    loop reaches it, so errors surface there. Either way a decision is
+    the keyed draw of the scalar samplers, so the run is the same."""
 
     def __init__(
         self, hyper: HyperParams, dataset: FederatedDataset, epoch: int, plan: ReplayPlan
@@ -202,18 +192,8 @@ class _Sampler:
         self._streams = RekeyedPhilox()
         self._multiset_key = stream_key(hyper.seed, DOMAIN_CLIENT_SAMPLING, epoch)
         self._batch_key = stream_key(hyper.seed, DOMAIN_MINIBATCH, epoch)
-        self._multisets: dict[int, tuple[int, ...]] = {}
         self._batches: dict[tuple[int, int], tuple[int, ...]] = {}
         self._uids: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def multiset(self, round_index: int) -> tuple[int, ...]:
-        multiset = self._pinned_multisets.get(round_index)
-        if multiset is None:
-            multiset = self._multisets.get(round_index)
-        if multiset is None:
-            rng = self._streams.rekey(self._multiset_key, round_index)
-            multiset = sample_client_multiset(rng, self._active, self._count)
-        return multiset
 
     def batch(self, t: int, client: ClientDataset) -> tuple[int, ...]:
         key = (t, client.client_id)
@@ -230,45 +210,42 @@ class _Sampler:
             batch = sample_minibatch(rng, client.uids, self._batch_size)
         return batch
 
-    def draw_window(self, first_round: int, stop_round: int) -> None:
-        """Draw the fresh decisions of rounds first_round..stop_round - 1."""
-        multisets = self._multisets
-        multisets.clear()
-        self._batches.clear()
-        if (stop_round - first_round) * (1 + self._steps * self._count) < MIN_ARRAY_DECISIONS:
-            return  # too few decisions for either pass
-        rounds = range(first_round, stop_round)
-        fresh = [r for r in rounds if r not in self._pinned_multisets]
-        if fresh and not self._active:
-            return  # multiset() raises when the loop reaches the round
-        if fresh and len(fresh) >= MIN_ARRAY_DECISIONS:
+    def draw_window(self, first_round: int, stop_round: int) -> dict[int, tuple[int, ...]]:
+        """The multisets of rounds first_round..stop_round - 1, in round
+        order; the window's fresh batches are drawn too."""
+        multisets = {r: self._pinned_multisets.get(r) for r in range(first_round, stop_round)}
+        fresh = [r for r, multiset in multisets.items() if multiset is None]
+        if fresh and self._active and len(fresh) >= MIN_ARRAY_DECISIONS:
             lo, hi = fold_keys(self._multiset_key, np.array(fresh))
             draws, flagged = draw_multisets(lo, hi, len(self._active), self._count)
             ids = np.sort(np.array(self._active)[draws], axis=1).tolist()
-            for r, row, skip in zip(fresh, ids, flagged.tolist()):
+            for r, multiset, skip in zip(fresh, ids, flagged.tolist()):
                 if not skip:
-                    multisets[r] = tuple(row)
-        # the batch pass needs every multiset of the window
+                    multisets[r] = tuple(multiset)
         for r in fresh:
-            if r not in multisets:
-                multisets[r] = self.multiset(r)
-        self._draw_batches(rounds)
+            if multisets[r] is None:
+                rng = self._streams.rekey(self._multiset_key, r)
+                multisets[r] = sample_client_multiset(rng, self._active, self._count)
+        self._batches = self._draw_batches(multisets)
+        return multisets
 
-    def _draw_batches(self, rounds: range) -> None:
+    def _draw_batches(
+        self, multisets: dict[int, tuple[int, ...]]
+    ) -> dict[tuple[int, int], tuple[int, ...]]:
         pinned = self._pinned_batches
         dataset = self._dataset
         batch_size = self._batch_size
         steps = self._steps
         keys = [
             (t, cid)
-            for r in rounds
-            for cid in set(self.multiset(r))
+            for r, multiset in multisets.items()
+            for cid in set(multiset)
             if dataset.has_client(cid) and dataset.client(cid).size >= batch_size
             for t in range((r - 1) * steps + 1, r * steps + 1)
             if (t, cid) not in pinned
         ]
         if not keys or len(keys) < MIN_ARRAY_DECISIONS:
-            return
+            return {}
         times, client_ids = np.array(keys).T
         values, objects, offsets, sizes = self._uid_table()
         at = np.searchsorted(self._active, client_ids)
@@ -276,10 +253,8 @@ class _Sampler:
         rows, flagged = draw_subsets(lo, hi, sizes[at], batch_size)
         rows += offsets[at][:, None]
         rows = np.take_along_axis(rows, np.argsort(values[rows], axis=1), axis=1)
-        fresh = self._batches
-        for key, batch, skip in zip(keys, objects[rows].tolist(), flagged.tolist()):
-            if not skip:
-                fresh[key] = tuple(batch)
+        batches = zip(keys, objects[rows].tolist(), flagged.tolist())
+        return {key: tuple(batch) for key, batch, skip in batches if not skip}
 
     def _uid_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every client's uids end to end in client id order, as int64
@@ -300,10 +275,6 @@ class _Sampler:
         return self._uids
 
 
-def local_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    return theta - lr * grad
-
-
 def aggregate(
     local_models: dict[int, np.ndarray], multiset: tuple[int, ...]
 ) -> np.ndarray:
@@ -317,6 +288,34 @@ def aggregate(
 
 
 RoundHook = Callable[[int, int, np.ndarray], None]
+
+
+def check_start(
+    start_iteration: int, hyper: HyperParams, store: HistoryStore, loss: LossModel
+) -> None:
+    """Raise unless run_fats can run from start_iteration on store. It
+    reads the store only, so a caller can refuse before it prunes."""
+    total = hyper.total_steps
+    steps = hyper.local_steps
+    if not 1 <= start_iteration <= total:
+        raise InvalidArgumentError(f"start_iteration {start_iteration} outside [1, {total}]")
+    if (start_iteration - 1) % steps:
+        raise InvalidArgumentError(
+            f"start_iteration {start_iteration} does not start a round of {steps} steps"
+        )
+    if start_iteration > store.next_iteration:
+        raise InvalidArgumentError(
+            f"cannot start at {start_iteration}: store only covers history "
+            f"up to {store.next_iteration - 1}"
+        )
+    if start_iteration > 1 and store.mode != FULL_HISTORY:
+        raise ModeMismatchError("compact stores only support training from iteration 1")
+    if store.local_steps != steps:
+        raise InvalidArgumentError("store and hyper disagree on local_steps")
+    if start_iteration > 1 and store.loss_name != loss.name:
+        raise InvalidArgumentError(
+            f"the store was trained under the {store.loss_name} loss, not {loss.name}"
+        )
 
 
 def run_fats(
@@ -338,35 +337,13 @@ def run_fats(
     discarded and rewritten; the epoch is not advanced here, so
     re-running the same suffix is bit-identical.
     """
-    total = hyper.total_steps
+    check_start(start_iteration, hyper, store, loss)
     steps = hyper.local_steps
-    if not 1 <= start_iteration <= total:
-        raise InvalidArgumentError(
-            f"start_iteration {start_iteration} outside [1, {total}]"
-        )
-    if (start_iteration - 1) % steps:
-        raise InvalidArgumentError(
-            f"start_iteration {start_iteration} does not start a round of {steps} steps"
-        )
-    if start_iteration > store.next_iteration:
-        raise InvalidArgumentError(
-            f"cannot start at {start_iteration}: store only covers history "
-            f"up to {store.next_iteration - 1}"
-        )
-    if start_iteration > 1 and store.mode != FULL_HISTORY:
-        raise ModeMismatchError("compact stores only support training from iteration 1")
-    if store.local_steps != steps:
-        raise InvalidArgumentError("store and hyper disagree on local_steps")
-
     sampler = _Sampler(hyper, dataset, store.epoch, ReplayPlan() if replay is None else replay)
     first_round = store.round_of(start_iteration)
-    last_round = store.round_of(total)
+    stop_round = hyper.rounds + 1
     # a round holds one multiset and at most local_steps * K batches
     window_rounds = max(1, WINDOW_DECISIONS // (1 + steps * hyper.clients_per_round))
-    if start_iteration > 1 and store.loss_name != loss.name:
-        raise InvalidArgumentError(
-            f"the store was trained under the {store.loss_name} loss, not {loss.name}"
-        )
     theta = np.zeros(loss.dim) if start_iteration == 1 else store.global_model(first_round - 1)
     if theta is None:
         raise CorruptedHistoryError(f"no global model recorded for round {first_round - 1}")
@@ -376,31 +353,27 @@ def run_fats(
         store.record_global(0, theta)
 
     lr = hyper.lr
-    multiset: tuple[int, ...] | None = None
-    locals_: dict[int, np.ndarray] = {}
-    for t in range(start_iteration, total + 1):
-        round_index = store.round_of(t)
-        if t == store.round_start_iteration(round_index):
-            if (round_index - first_round) % window_rounds == 0:
-                sampler.draw_window(round_index, min(round_index + window_rounds, last_round + 1))
-            multiset = sampler.multiset(round_index)
+    for window in range(first_round, stop_round, window_rounds):
+        multisets = sampler.draw_window(window, min(window + window_rounds, stop_round))
+        for round_index, multiset in multisets.items():
             store.record_round_start(round_index, multiset)
-            locals_ = {cid: theta.copy() for cid in set(multiset)}
-        assert multiset is not None
-        for client_id in sorted(set(multiset)):
-            client = dataset.client(client_id)
-            batch = sampler.batch(t, client)
-            rows = client.rows_for(batch)
-            grad = loss.mean_grad(
-                locals_[client_id],
-                client.features_matrix[rows],
-                client.labels_vector[rows],
-            )
-            locals_[client_id] = local_step(locals_[client_id], grad, lr)
-            store.record_iteration(t, client_id, batch)
-        if t % steps == 0:
+            clients = sorted(set(multiset))
+            locals_ = dict.fromkeys(clients, theta)
+            last = round_index * steps
+            for t in range(last - steps + 1, last + 1):
+                for client_id in clients:
+                    client = dataset.client(client_id)
+                    batch = sampler.batch(t, client)
+                    rows = client.rows_for(batch)
+                    grad = loss.mean_grad(
+                        locals_[client_id],
+                        client.features_matrix[rows],
+                        client.labels_vector[rows],
+                    )
+                    locals_[client_id] = locals_[client_id] - lr * grad
+                    store.record_iteration(t, client_id, batch)
             theta = aggregate(locals_, multiset)
             store.record_global(round_index, theta)
             if round_hook is not None:
-                round_hook(round_index, t, theta)
+                round_hook(round_index, last, theta)
     return theta

@@ -152,14 +152,15 @@ def check_lr_condition(lr: float, smoothness: float, diversity: float, local_ste
     return margin < 0.0, margin
 
 
-def estimate_smoothness(
-    loss: LossModel,
-    dataset: FederatedDataset,
-    *,
-    probes: int = 12,
-    power_iters: int = 30,
-    seed: int = 0,
-) -> float:
+# probe pairs and power iterations per pair of estimate_smoothness
+SMOOTHNESS_PROBES = 12
+SMOOTHNESS_POWER_ITERS = 30
+# probe models and batches per client and probe of estimate_grad_bound
+GRAD_BOUND_PROBES = 8
+GRAD_BOUND_BATCHES = 16
+
+
+def estimate_smoothness(loss: LossModel, dataset: FederatedDataset, *, seed: int = 0) -> float:
     """Estimate the Lipschitz constant of the global gradient.
 
     Maximizes the gradient-difference ratio over probe pairs; each probe
@@ -169,12 +170,12 @@ def estimate_smoothness(
     """
     rng = substream(seed, DOMAIN_PROBE, 1)
     best = 0.0
-    for _ in range(probes):
+    for _ in range(SMOOTHNESS_PROBES):
         base = rng.normal(size=loss.dim)
         direction = rng.normal(size=loss.dim)
         direction /= np.linalg.norm(direction)
         step = 1e-3
-        for _ in range(power_iters):
+        for _ in range(SMOOTHNESS_POWER_ITERS):
             g_plus = global_grad(loss, base + step * direction, dataset)
             g_base = global_grad(loss, base, dataset)
             delta = (g_plus - g_base) / step
@@ -193,8 +194,6 @@ def estimate_grad_bound(
     dataset: FederatedDataset,
     *,
     batch_size: int,
-    probes: int = 8,
-    batches_per_probe: int = 16,
     seed: int = 0,
 ) -> float:
     """Estimate the mini-batch deviation constant G from
@@ -206,21 +205,21 @@ def estimate_grad_bound(
     """
     rng = substream(seed, DOMAIN_PROBE, 2)
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(GRAD_BOUND_PROBES):
         theta = rng.normal(size=loss.dim)
         for client in dataset.clients:
             if client.size < batch_size:
                 continue
             local = full_local_grad(loss, theta, client)
             acc = 0.0
-            for _ in range(batches_per_probe):
+            for _ in range(GRAD_BOUND_BATCHES):
                 rows = rng.choice(client.size, size=batch_size, replace=False)
                 g = loss.mean_grad(
                     theta, client.features_matrix[rows], client.labels_vector[rows]
                 )
                 diff = g - local
                 acc += float(diff @ diff)
-            worst = max(worst, acc / batches_per_probe * batch_size)
+            worst = max(worst, acc / GRAD_BOUND_BATCHES * batch_size)
     return math.sqrt(worst) if worst > 0 else 1.0
 
 

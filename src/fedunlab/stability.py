@@ -80,14 +80,6 @@ class HistoryDistribution:
         return dict(zip(self.support, self.probs))
 
     @classmethod
-    def from_dict(cls, dist: dict[History, Fraction]) -> "HistoryDistribution":
-        items = sorted(dist.items())
-        return cls(
-            support=tuple(h for h, _ in items),
-            probs=tuple(p for _, p in items),
-        )
-
-    @classmethod
     def from_weights(cls, weights: dict[History, int], denominator: int) -> "HistoryDistribution":
         """The distribution giving each history weight / denominator."""
         items = sorted(weights.items())
@@ -399,6 +391,10 @@ def _chi_square_2xk(table: list[list[int]]) -> tuple[float, float]:
     return float(statistic), float(chdtrc(observed.shape[1] - 1, statistic))
 
 
+# the smallest expected bin count the chi-square approximation accepts
+MIN_EXPECTED_COUNT = 5.0
+
+
 def equivalence_test_mc(
     runner_a: Callable[[int], Hashable],
     runner_b: Callable[[int], Hashable],
@@ -406,7 +402,6 @@ def equivalence_test_mc(
     trials: int,
     seed: int,
     alpha: float = 0.001,
-    min_expected: float = 5.0,
     name: str = "mc",
 ) -> EquivalenceReport:
     """Two-sample chi-square test on binned pipeline outputs.
@@ -432,10 +427,10 @@ def equivalence_test_mc(
     for column in range(len(bins)):
         column_total = table[0][column] + table[1][column]
         expected = column_total * trials / total
-        if expected < min_expected:
+        if expected < MIN_EXPECTED_COUNT:
             raise BinsTooFineError(
                 f"bin {bins[column]!r} has expected count {expected:.2f} < "
-                f"{min_expected}; coarsen the binning or add trials"
+                f"{MIN_EXPECTED_COUNT}; coarsen the binning or add trials"
             )
     if len(bins) < 2:
         # Identical single-bin outputs: trivially indistinguishable.

@@ -54,7 +54,7 @@ from .data import (
     UnlearnRequest,
     remove_target,
 )
-from .engine import ReplayPlan, run_fats
+from .engine import ReplayPlan, check_start, run_fats
 from .errors import EmptyFederationError, InvalidArgumentError, NotFoundError
 from .losses import LossModel
 from .store import HistoryStore
@@ -210,6 +210,7 @@ def unlearn_request(
         return _outcome(request, NOOP, None, hyper, reduced, start_time, probes, final), reduced
 
     restart = round_start(from_iteration, steps)
+    check_start(restart, hyper, store, loss)
     store.prune_after(restart)
     final = run_fats(restart, hyper, reduced, store, loss, replay=plan)
     action = PARTIAL_RETRAIN if full else FULL_RETRAIN

@@ -189,10 +189,12 @@ def test_fold_keys_equal_stream_key_and_rekey(seed, epoch, parts):
 @pytest.mark.parametrize("n, b", [
     (4, 4), (5, 4), (50, 4), (2000, 4), (10_000, 4), (12_000, 240),
     (30, 1), (30, 9), (30, 17), (17, 17), (18, 17),
+    (3, 2), (6, 3), (9, 8), (10, 8),
 ])
 def test_floyd_sets_equal_sorted_choice(n, b):
     """b > 8 reads a second Philox block; n = b takes no word for its
-    first draw; (12,000, 240) is the largest b that still runs Floyd."""
+    first draw; (12,000, 240) is the largest b that still runs Floyd;
+    small n against b repeats draws often, so j_k is taken often."""
     count = 300 if b < 100 else 40
     lo, hi = _keys(count, seed=n * 1000 + b)
     rows, flagged = draw_subsets(lo, hi, np.full(count, n), b)

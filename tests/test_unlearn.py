@@ -2,6 +2,7 @@
 prefix preservation, streams."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,6 +312,30 @@ def test_failed_deletion_leaves_store_untouched():
     assert outcomes[1].action in (NOOP, PARTIAL_RETRAIN)
     assert reduced.client(client_id).has_uid(uid)
     assert not reduced.has_client(other)
+
+
+@pytest.mark.parametrize("mismatch", ["loss", "local_steps"])
+def test_deletion_run_fats_refuses_leaves_store_untouched(mismatch):
+    """A re-run that run_fats refuses is refused before the store is
+    pruned: the call raises and the store keeps its suffix and epoch."""
+    dataset, hyper, loss, store = _setup(num_clients=3, samples=6, total_steps=12,
+                                         local_steps=3)
+    client_id, uid = max(
+        ((c.client_id, u) for c in dataset.clients for u in c.uids
+         if store._earliest_use.get(u) is not None),
+        key=lambda target: store._earliest_use[target[1]],
+    )
+    assert store._earliest_use[uid] > hyper.local_steps  # the re-run resumes
+    if mismatch == "loss":
+        loss = make_loss("logistic", 2)
+    else:
+        hyper = replace(hyper, local_steps=1)
+    reference = copy.deepcopy(store)
+    request = UnlearnRequest(kind="sample", target_client=client_id,
+                             target_uid=uid, issue_step=hyper.total_steps)
+    with pytest.raises(InvalidArgumentError):
+        unlearn_request(request, store, dataset, hyper, loss)
+    assert store.state_equal(reference)
 
 
 def test_stream_rejects_emptying_a_client(micro_dataset):
