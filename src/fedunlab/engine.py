@@ -19,19 +19,19 @@ as long as the store's epoch is unchanged, because every draw is keyed
 by (seed, purpose, epoch, iteration context).
 
 A window holds about WINDOW_DECISIONS decisions. At its start the
-sampler settles the window's multisets and draws its unpinned batches,
-each in one array pass: streams.philox_words gives every key's 32-bit
-words, and draw_multisets and draw_subsets repeat on them numpy's
-integer steps (Lemire's bounded draw; Floyd's algorithm for choice
-without replacement, run plainly in b^2 comparisons per key, since
-every shipped config and benchmark workload draws b <= 8). Integers
-only, so each decision equals the one-at-a-time draw of
+sampler settles the window's multisets and batches in one dict each,
+drawing the unpinned ones in one array pass: streams.philox_words gives
+every key's 32-bit words, and draw_multisets and draw_subsets repeat on
+them numpy's integer steps (Lemire's bounded draw; Floyd's algorithm for
+choice without replacement, run plainly in b^2 comparisons per key,
+since every shipped config and benchmark workload draws b <= 8).
+Integers only, so each decision equals the one-at-a-time draw of
 sample_client_multiset or sample_minibatch, which remain the reference
 and still draw a pass below MIN_ARRAY_DECISIONS, any key whose word
-Lemire's method would reject, choice's tail-shuffle case and every
-batch that cannot be drawn. tests/test_streams.py checks the kernels
-against numpy, so a numpy change to Philox, its bounded draw or choice
-fails there.
+Lemire's method would reject and choice's tail-shuffle case. A batch
+that cannot be drawn is left out, and the loop raises where it reaches
+it. tests/test_streams.py checks the kernels against numpy, so a numpy
+change to Philox, its bounded draw or choice fails there.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import FULL_HISTORY, ClientDataset, FederatedDataset, HyperParams
+from .data import FULL_HISTORY, FederatedDataset, HyperParams
 from .errors import (
     CorruptedHistoryError,
     InfeasibleBatchError,
@@ -55,9 +55,9 @@ from .streams import (
     DOMAIN_MINIBATCH,
     _MASK32,
     _SHIFT32,
-    RekeyedPhilox,
     fold_keys,
     philox_words,
+    rekeyed,
     stream_key,
 )
 
@@ -166,16 +166,16 @@ def draw_subsets(
 
 class _Sampler:
     """Every sampling decision of one run_fats call: pinned by the replay
-    plan, drawn with the current window, or drawn on its own.
+    plan or drawn with its window.
 
-    draw_window settles a window's multisets in one dict (pinned, drawn
-    in one array pass, or drawn one at a time through
-    sample_client_multiset) and draws its fresh batches in one array
-    pass. Keys the kernels flag, passes below MIN_ARRAY_DECISIONS and
-    batches that cannot be drawn (missing or too small clients) are left
-    to batch(), which draws one decision through RekeyedPhilox when the
-    loop reaches it, so errors surface there. Either way a decision is
-    the keyed draw of the scalar samplers, so the run is the same."""
+    draw_window settles a window's multisets and the batches of its
+    iterations in two dicts. A decision is pinned, drawn in one array
+    pass, or drawn one at a time through streams.rekeyed and the scalar
+    samplers: keys the kernels flag and passes below
+    MIN_ARRAY_DECISIONS. Either way it is the keyed draw of the scalar
+    samplers, so the run is the same. A batch that cannot be drawn (its
+    client is missing or too small) is left out, and run_fats raises
+    when the loop reaches it."""
 
     def __init__(
         self, hyper: HyperParams, dataset: FederatedDataset, epoch: int, plan: ReplayPlan
@@ -187,32 +187,16 @@ class _Sampler:
         self._steps = hyper.local_steps
         self._pinned_multisets = plan.round_multisets
         self._pinned_batches = plan.batches
-        # One generator for the run, re-keyed per decision; the (seed,
-        # domain, epoch) part of every key is folded once here.
-        self._streams = RekeyedPhilox()
+        # the (seed, domain, epoch) part of every key, folded once
         self._multiset_key = stream_key(hyper.seed, DOMAIN_CLIENT_SAMPLING, epoch)
         self._batch_key = stream_key(hyper.seed, DOMAIN_MINIBATCH, epoch)
-        self._batches: dict[tuple[int, int], tuple[int, ...]] = {}
         self._uids: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def batch(self, t: int, client: ClientDataset) -> tuple[int, ...]:
-        key = (t, client.client_id)
-        batch = self._pinned_batches.get(key)
-        if batch is None:
-            batch = self._batches.get(key)
-        if batch is None:
-            if self._batch_size > client.size:
-                raise InfeasibleBatchError(
-                    f"client {client.client_id} holds {client.size} points; cannot "
-                    f"draw a batch of {self._batch_size}"
-                )
-            rng = self._streams.rekey(self._batch_key, t, client.client_id)
-            batch = sample_minibatch(rng, client.uids, self._batch_size)
-        return batch
-
-    def draw_window(self, first_round: int, stop_round: int) -> dict[int, tuple[int, ...]]:
+    def draw_window(
+        self, first_round: int, stop_round: int
+    ) -> tuple[dict[int, tuple[int, ...]], dict[tuple[int, int], tuple[int, ...]]]:
         """The multisets of rounds first_round..stop_round - 1, in round
-        order; the window's fresh batches are drawn too."""
+        order, and the batches of their iterations by (iteration, client)."""
         multisets = {r: self._pinned_multisets.get(r) for r in range(first_round, stop_round)}
         fresh = [r for r, multiset in multisets.items() if multiset is None]
         if fresh and self._active and len(fresh) >= MIN_ARRAY_DECISIONS:
@@ -224,10 +208,9 @@ class _Sampler:
                     multisets[r] = tuple(multiset)
         for r in fresh:
             if multisets[r] is None:
-                rng = self._streams.rekey(self._multiset_key, r)
+                rng = rekeyed(self._multiset_key, r)
                 multisets[r] = sample_client_multiset(rng, self._active, self._count)
-        self._batches = self._draw_batches(multisets)
-        return multisets
+        return multisets, self._draw_batches(multisets)
 
     def _draw_batches(
         self, multisets: dict[int, tuple[int, ...]]
@@ -236,25 +219,32 @@ class _Sampler:
         dataset = self._dataset
         batch_size = self._batch_size
         steps = self._steps
-        keys = [
-            (t, cid)
-            for r, multiset in multisets.items()
-            for cid in set(multiset)
-            if dataset.has_client(cid) and dataset.client(cid).size >= batch_size
-            for t in range((r - 1) * steps + 1, r * steps + 1)
-            if (t, cid) not in pinned
-        ]
-        if not keys or len(keys) < MIN_ARRAY_DECISIONS:
-            return {}
-        times, client_ids = np.array(keys).T
-        values, objects, offsets, sizes = self._uid_table()
-        at = np.searchsorted(self._active, client_ids)
-        lo, hi = fold_keys(self._batch_key, times, client_ids)
-        rows, flagged = draw_subsets(lo, hi, sizes[at], batch_size)
-        rows += offsets[at][:, None]
-        rows = np.take_along_axis(rows, np.argsort(values[rows], axis=1), axis=1)
-        batches = zip(keys, objects[rows].tolist(), flagged.tolist())
-        return {key: tuple(batch) for key, batch, skip in batches if not skip}
+        batches, fresh = {}, []
+        for r, multiset in multisets.items():
+            for cid in set(multiset):
+                drawable = dataset.has_client(cid) and dataset.client(cid).size >= batch_size
+                for t in range((r - 1) * steps + 1, r * steps + 1):
+                    batch = pinned.get((t, cid))
+                    if batch is not None:
+                        batches[t, cid] = batch
+                    elif drawable:
+                        fresh.append((t, cid))
+        if fresh and len(fresh) >= MIN_ARRAY_DECISIONS:
+            times, client_ids = np.array(fresh).T
+            values, objects, offsets, sizes = self._uid_table()
+            at = np.searchsorted(self._active, client_ids)
+            lo, hi = fold_keys(self._batch_key, times, client_ids)
+            rows, flagged = draw_subsets(lo, hi, sizes[at], batch_size)
+            rows += offsets[at][:, None]
+            rows = np.take_along_axis(rows, np.argsort(values[rows], axis=1), axis=1)
+            for key, batch, skip in zip(fresh, objects[rows].tolist(), flagged.tolist()):
+                if not skip:
+                    batches[key] = tuple(batch)
+        for t, cid in fresh:
+            if (t, cid) not in batches:
+                rng = rekeyed(self._batch_key, t, cid)
+                batches[t, cid] = sample_minibatch(rng, dataset.client(cid).uids, batch_size)
+        return batches
 
     def _uid_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every client's uids end to end in client id order, as int64
@@ -316,6 +306,9 @@ def check_start(
         raise InvalidArgumentError(
             f"the store was trained under the {store.loss_name} loss, not {loss.name}"
         )
+    before = store.round_of(start_iteration) - 1
+    if start_iteration > 1 and store.global_model(before) is None:
+        raise CorruptedHistoryError(f"no global model recorded for round {before}")
 
 
 def run_fats(
@@ -345,8 +338,6 @@ def run_fats(
     # a round holds one multiset and at most local_steps * K batches
     window_rounds = max(1, WINDOW_DECISIONS // (1 + steps * hyper.clients_per_round))
     theta = np.zeros(loss.dim) if start_iteration == 1 else store.global_model(first_round - 1)
-    if theta is None:
-        raise CorruptedHistoryError(f"no global model recorded for round {first_round - 1}")
     store.discard_from(start_iteration)
     if start_iteration == 1:
         store.loss_name = loss.name
@@ -354,7 +345,7 @@ def run_fats(
 
     lr = hyper.lr
     for window in range(first_round, stop_round, window_rounds):
-        multisets = sampler.draw_window(window, min(window + window_rounds, stop_round))
+        multisets, batches = sampler.draw_window(window, min(window + window_rounds, stop_round))
         for round_index, multiset in multisets.items():
             store.record_round_start(round_index, multiset)
             clients = sorted(set(multiset))
@@ -363,7 +354,12 @@ def run_fats(
             for t in range(last - steps + 1, last + 1):
                 for client_id in clients:
                     client = dataset.client(client_id)
-                    batch = sampler.batch(t, client)
+                    batch = batches.get((t, client_id))
+                    if batch is None:
+                        raise InfeasibleBatchError(
+                            f"client {client_id} holds {client.size} points; cannot "
+                            f"draw a batch of {hyper.batch_size}"
+                        )
                     rows = client.rows_for(batch)
                     grad = loss.mean_grad(
                         locals_[client_id],

@@ -401,9 +401,10 @@ def _split(values: list[int], sizes: list[int]) -> list[tuple[int, ...]]:
 
 
 def _replay(store: HistoryStore, columns: dict[str, list], models: np.ndarray,
-            latest_round: int) -> None:
+            latest_round: int, next_iteration: int) -> None:
     """Record the checkpoint's columns into an empty store in recording
-    order, through record_* and their order checks."""
+    order, through record_* and their order checks, and refuse counters
+    and models the records contradict."""
     other_mode = _CKPT_ARRAYS[6:8] if store.mode == FULL_HISTORY else _CKPT_ARRAYS[:6]
     if any(columns[name] for name in other_mode):
         raise ValueError(f"a {store.mode} checkpoint holds columns of the other mode")
@@ -425,16 +426,32 @@ def _replay(store: HistoryStore, columns: dict[str, list], models: np.ndarray,
     for multiset in multisets[rounds:]:
         rounds += 1
         store.record_round_start(rounds, multiset)
-    for client, round_index in zip(columns["eround_clients"], columns["eround_rounds"]):
-        store._earliest_round[client] = round_index
     if store.mode == COMPACT:
+        # a compact store records no iterations; its counters come from
+        # the metadata, and its latest model may trail them by one round
+        store.next_iteration = next_iteration
+        completed = (next_iteration - 1) // store.local_steps
+        if next_iteration < 1 or not max(completed - 1, 0) <= latest_round <= completed:
+            raise ValueError(f"latest round {latest_round} at next iteration {next_iteration}")
+        clients, erounds = columns["eround_clients"], columns["eround_rounds"]
+        if len(set(clients)) != len(clients) or not all(1 <= r <= completed + 1 for r in erounds):
+            raise ValueError(f"client rounds outside 1..{completed + 1} or repeated")
+        store._earliest_round.update(zip(clients, erounds))
         if len(models) > 2 or (len(models) == 2) != (latest_round > 0):
             raise ValueError("a compact store holds the initial and the latest model")
-        for round_index, model in zip((0, latest_round), models):
-            store.record_global(round_index, model)
+        indices = (0, latest_round)
     else:
-        for round_index, model in enumerate(models):
-            store.record_global(round_index, model)
+        # the initial model and one per completed round, the last of
+        # which may not be recorded yet
+        completed = (store.next_iteration - 1) // store.local_steps
+        if latest_round != 0 or not 0 <= len(models) - completed <= 1:
+            raise ValueError(
+                f"{len(models)} global models and latest round {latest_round} after "
+                f"{completed} completed rounds"
+            )
+        indices = range(len(models))
+    for round_index, model in zip(indices, models):
+        store.record_global(round_index, model)
 
 
 def load_checkpoint(
@@ -488,12 +505,10 @@ def load_checkpoint(
                 raise ValueError(f"{name} is not a 1-d integer array")
             columns[name] = array.tolist()
         store = HistoryStore(mode, hyper.local_steps)
-        _replay(store, columns, models, latest_round)
+        _replay(store, columns, models, latest_round, next_iteration)
     except (IndexError, ValueError, CorruptedHistoryError, InvalidArgumentError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint record: {exc}") from exc
-    if mode == COMPACT:
-        store.next_iteration = next_iteration
-    elif store.next_iteration != next_iteration:
+    if store.next_iteration != next_iteration:
         raise CheckpointFormatError(
             f"records end at t={store.next_iteration - 1}, header says "
             f"{next_iteration - 1}"

@@ -10,9 +10,10 @@ randomness after a partial re-computation never reuses a key that was
 consumed before: re-computation bumps the epoch component.
 
 Philox is counter-based: its output is a function of its key and
-counter alone, so a stream *is* its key. A training run therefore keeps
-one RekeyedPhilox and re-keys it for each decision instead of building
-a generator per decision; the draws are the same as substream's.
+counter alone, so a stream *is* its key. Each thread therefore keeps
+one Philox, and rekeyed re-keys it for each decision instead of
+building a generator per decision or per run; the draws are the same
+as substream's.
 
 For the same reason many streams can be computed at once: fold_keys is
 the key derivation on uint64 arrays, and philox_words returns the first
@@ -21,6 +22,8 @@ would hand out. Both use integer arithmetic only.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -55,7 +58,7 @@ def stream_key(seed: int, domain: int, *parts: int) -> tuple[int, int]:
 
     Parts are folded in one at a time, so the key of (seed, domain,
     *head, *tail) is the key of (seed, domain, *head) extended by tail:
-    RekeyedPhilox.rekey relies on this."""
+    rekeyed relies on this."""
     lo = _splitmix64((seed & _MASK64) ^ _splitmix64(domain))
     hi = _splitmix64(lo ^ _GOLDEN)
     for part in parts:
@@ -70,43 +73,36 @@ def substream(seed: int, domain: int, *parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class RekeyedPhilox:
-    """One Philox generator, re-keyed for each keyed decision.
+# The calling thread's one Philox: its Generator and the state dict
+# that re-keys it, built on the thread's first rekeyed call. Plain ints
+# and tuples: the state setter converts them faster than arrays.
+_thread = threading.local()
 
-    Re-keying sets the key with the counter at 0, the output buffer
-    empty and no half-used 32-bit word: the exact state of a new Philox
-    with that key. So every draw after a re-key equals the same draw
-    from a fresh substream, however much of the previous key was used.
-    """
 
-    def __init__(self) -> None:
-        self._bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._generator = np.random.Generator(self._bits)
-        self._key = [0, 0]
-        # Plain ints and tuples: the state setter converts them faster
-        # than arrays.
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": self._key},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
+def rekeyed(prefix: tuple[int, int], *parts: int) -> np.random.Generator:
+    """Re-key the calling thread's Philox to prefix extended by parts and
+    return its generator, valid until the thread's next call.
+
+    With prefix = stream_key(seed, domain, *head), the generator draws
+    what substream(seed, domain, *head, *parts) would: re-keying sets the
+    key with the counter at 0, the output buffer empty and no half-used
+    32-bit word, the exact state of a new Philox with that key, however
+    much of the previous key was used."""
+    lo, hi = prefix
+    for part in parts:
+        lo, hi = _fold(lo, hi, part)
+    try:
+        generator, state = _thread.philox
+    except AttributeError:
+        generator = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
+        state = {
+            "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-
-    def rekey(self, prefix: tuple[int, int], *parts: int) -> np.random.Generator:
-        """Re-key to prefix extended by parts and return the generator.
-
-        With prefix = stream_key(seed, domain, *head), the generator
-        draws what substream(seed, domain, *head, *parts) would."""
-        lo, hi = prefix
-        for part in parts:
-            lo, hi = _fold(lo, hi, part)
-        key = self._key
-        key[0] = lo
-        key[1] = hi
-        self._bits.state = self._state
-        return self._generator
+        _thread.philox = generator, state
+    state["state"]["key"] = lo, hi
+    generator.bit_generator.state = state
+    return generator
 
 
 def _splitmix64_array(value: np.ndarray) -> np.ndarray:
@@ -119,7 +115,7 @@ def _splitmix64_array(value: np.ndarray) -> np.ndarray:
 
 
 def fold_keys(prefix: tuple[int, int], *parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of RekeyedPhilox.rekey: the keys of prefix extended by
+    """Array twin of rekeyed's key fold: the keys of prefix extended by
     parts[0][i], parts[1][i], ... for every i, as two uint64 arrays (lo,
     hi). Parts are integer arrays of one length, taken mod 2^64."""
     lo = np.full(len(parts[0]), prefix[0], dtype=np.uint64)

@@ -562,6 +562,84 @@ def test_checkpoint_keeps_int64_uids(tmp_path):
     assert load_checkpoint(str(path), dataset)[0].state_equal(store)
 
 
+def _saved_three_by_six(tmp_path, mode):
+    """A checkpoint of 3 clients x 6 points trained for T = 12, E = 3:
+    next_iteration 13 after 4 completed rounds."""
+    dataset = generate_synthetic(
+        num_clients=3, samples_per_client=6, dim=2, classes=2, beta=0.5, seed=6
+    )
+    hyper = HyperParams(
+        num_clients=3, samples_per_client=6, total_steps=12, local_steps=3,
+        clients_per_round=2, batch_size=2, lr=0.1, rho_sample=0.5, rho_client=0.5,
+        seed=0, storage_mode=mode,
+    )
+    store = HistoryStore(mode, hyper.local_steps)
+    run_fats(1, hyper, dataset, store, make_loss("quadratic", 2))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(store, hyper, dataset, str(path))
+    header, meta, arrays = _read_v3(path)
+    assert (meta["next_iteration"], meta["latest_round"]) == (13, 4 if mode == COMPACT else 0)
+    return dataset, path, header, meta, arrays
+
+
+@pytest.mark.parametrize("field, value, loads", [
+    ("next_iteration", 13, True),  # as saved
+    ("latest_round", 3, True),  # round 4's model not yet recorded
+    ("eround_rounds", 5, True),  # selected in a round not yet run
+    ("next_iteration", 1, False),
+    ("next_iteration", -7, False),
+    ("next_iteration", 10**6, False),
+    ("latest_round", 2, False),
+    ("latest_round", 5, False),
+    ("eround_rounds", 0, False),
+    ("eround_rounds", 6, False),
+    ("eround_clients", "twice", False),
+])
+def test_checkpoint_refuses_compact_counters_out_of_line(tmp_path, field, value, loads):
+    """A compact checkpoint's counters come from its metadata: a
+    next_iteration, latest_round or client round that no training run
+    leaves, or a client listed twice, is refused."""
+    dataset, path, header, meta, arrays = _saved_three_by_six(tmp_path, COMPACT)
+    names = meta["arrays"]
+    if field in names:
+        column = arrays[names.index(field)].copy()
+        column[0] = column[1] if value == "twice" else value
+        arrays[names.index(field)] = column
+    else:
+        meta[field] = value
+    _write_v3(path, header, meta, arrays)
+    if loads:
+        load_checkpoint(str(path), dataset)
+    else:
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(str(path), dataset)
+
+
+@pytest.mark.parametrize("models, latest_round, loads", [
+    (5, 0, True),
+    (4, 0, True),  # round 4's model not yet recorded
+    (3, 0, False),
+    (6, 0, False),
+    (5, 4, False),
+])
+def test_checkpoint_refuses_full_history_without_its_models(tmp_path, models, latest_round,
+                                                            loads):
+    """A full-history checkpoint holds the initial model and one per
+    completed round, the last of which may be missing, and latest_round
+    0."""
+    dataset, path, header, meta, arrays = _saved_three_by_six(tmp_path, FULL_HISTORY)
+    globals_ = arrays[-1]
+    arrays[-1] = np.vstack([globals_, globals_])[:models]
+    _write_v3(path, header, {**meta, "latest_round": latest_round}, arrays)
+    if loads:
+        assert load_checkpoint(str(path), dataset)[0].latest_global_model().tobytes() == (
+            globals_[models - 1].tobytes()
+        )
+    else:
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(str(path), dataset)
+
+
 @pytest.mark.parametrize("mode", [FULL_HISTORY, COMPACT])
 def test_stream_after_load_matches_the_original(tmp_path, mode):
     """Serving a stream on a loaded store gives the same outcomes,

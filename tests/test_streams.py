@@ -8,6 +8,7 @@ algorithm of choice(replace=False) fails here too.
 """
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from fedunlab.streams import (
     DOMAIN_MINIBATCH,
     DOMAIN_PROBE,
     DOMAIN_TRIAL,
-    RekeyedPhilox,
     derive_trial_seeds,
     fold_keys,
     philox_words,
+    rekeyed,
     stream_key,
     substream,
 )
@@ -122,12 +123,35 @@ def _use_part(rng, how):
 @pytest.mark.parametrize("kind", ["integers", "choice", "large_choice", "random"])
 @pytest.mark.parametrize("how", ["fresh", "odd_uint32", "random", "choice"])
 def test_rekeyed_draws_equal_substream(kind, how):
-    streams = RekeyedPhilox()
     for index in range(40):
         head, tail = (11, DOMAIN_MINIBATCH, index % 3), (index, index % 5)
-        rng = streams.rekey(stream_key(*head), *tail)
+        rng = rekeyed(stream_key(*head), *tail)
         assert np.array_equal(_draw(rng, kind), _draw(substream(*head, *tail), kind))
         _use_part(rng, how)
+
+
+def test_rekeyed_keeps_one_generator_per_thread():
+    """Threads re-key, wait until all have, then draw: each draws its
+    own key's stream, so no thread re-keys another's generator."""
+    indices = range(4)
+    barrier = threading.Barrier(len(indices), timeout=10)
+    draws = {}
+
+    def run(index):
+        rng = rekeyed(stream_key(11, DOMAIN_MINIBATCH, 0), index)
+        barrier.wait()
+        draws[index] = rng.integers(0, 2**32, size=8)
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in indices]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert sorted(draws) == list(indices)
+    for index in indices:
+        expected = substream(11, DOMAIN_MINIBATCH, 0, index).integers(0, 2**32, size=8)
+        assert np.array_equal(draws[index], expected)
 
 
 # ----------------------------------------------------------------------
@@ -178,11 +202,10 @@ def test_fold_keys_equal_stream_key_and_rekey(seed, epoch, parts):
     second = np.array([p[1] for p in parts])
     lo, hi = fold_keys(prefix, first, second)
     one_lo, one_hi = fold_keys(prefix, first)
-    streams = RekeyedPhilox()
     for i, (a, b) in enumerate(parts):
         assert (int(lo[i]), int(hi[i])) == stream_key(seed, DOMAIN_MINIBATCH, epoch, a, b)
         assert (int(one_lo[i]), int(one_hi[i])) == stream_key(seed, DOMAIN_MINIBATCH, epoch, a)
-        key = streams.rekey(prefix, a, b).bit_generator.state["state"]["key"]
+        key = rekeyed(prefix, a, b).bit_generator.state["state"]["key"]
         assert key.tolist() == [int(lo[i]), int(hi[i])]
 
 

@@ -16,7 +16,7 @@ from fedunlab.data import (
     remove_sample,
 )
 from fedunlab.engine import run_fats
-from fedunlab.errors import InvalidArgumentError, NotFoundError
+from fedunlab.errors import CorruptedHistoryError, InvalidArgumentError, NotFoundError
 from fedunlab.losses import make_loss
 from fedunlab.store import HistoryStore
 from fedunlab.unlearn import (
@@ -336,6 +336,35 @@ def test_deletion_run_fats_refuses_leaves_store_untouched(mismatch):
     with pytest.raises(InvalidArgumentError):
         unlearn_request(request, store, dataset, hyper, loss)
     assert store.state_equal(reference)
+
+
+def test_deletion_needing_a_missing_global_model_leaves_store_untouched():
+    """A store recorded through record_* whose global models stop at
+    round 2 of 4: a deletion that must resume from round 3 raises before
+    the store is pruned, with its suffix and epoch kept."""
+    dataset, hyper, loss, trained = _setup(num_clients=3, samples=6, total_steps=12,
+                                           local_steps=3)
+    store = HistoryStore(FULL_HISTORY, hyper.local_steps)
+    store.loss_name = trained.loss_name
+    multisets, records = trained.decisions(1)
+    records = list(records)
+    for round_index, multiset in multisets:
+        store.record_round_start(round_index, multiset)
+        for (t, client_id), batch in records:
+            if store.round_of(t) == round_index:
+                store.record_iteration(t, client_id, batch)
+    for round_index in range(3):
+        store.record_global(round_index, trained.global_model(round_index))
+    client_id, uid = next(
+        (c.client_id, u) for c in dataset.clients for u in c.uids
+        if store.round_of(store._earliest_use.get(u, 0)) == 4
+    )
+    reference = copy.deepcopy(store)
+    request = UnlearnRequest(kind="sample", target_client=client_id,
+                             target_uid=uid, issue_step=hyper.total_steps)
+    with pytest.raises(CorruptedHistoryError, match="round 3"):
+        unlearn_request(request, store, dataset, hyper, loss)
+    assert store.state_equal(reference) and store.next_iteration == 13
 
 
 def test_stream_rejects_emptying_a_client(micro_dataset):
