@@ -44,7 +44,7 @@ from .losses import (
 )
 from .store import HistoryStore
 from .streams import DOMAIN_TRIAL, substream
-from .unlearn import UnlearnOutcome, process_stream
+from .unlearn import NOOP, REJECTED, STALE, UnlearnOutcome, process_stream
 
 OUTCOME_FIELDS = [
     "run",
@@ -477,11 +477,12 @@ def convergence_summary(metrics: list[MetricsRow]) -> dict:
 
 
 def unlearning_efficiency_report(outcomes: list[UnlearnOutcome], total_steps: int) -> dict:
-    """Aggregate deletion servicing cost against the full-retrain
-    baseline of total_steps iterations per request."""
+    """Aggregate the cost of the serviced requests, those neither stale
+    nor rejected, against the full-retrain baseline of total_steps
+    iterations per serviced request."""
     if not outcomes:
         raise InvalidArgumentError("no outcomes")
-    serviced = [o for o in outcomes if o.action != "stale"]
+    serviced = [o for o in outcomes if o.action not in (STALE, REJECTED)]
     retrained = [o.retrained_iterations for o in serviced]
     recomputes = sum(1 for o in serviced if o.retrained_iterations > 0)
     total_retrained = sum(retrained)
@@ -489,8 +490,9 @@ def unlearning_efficiency_report(outcomes: list[UnlearnOutcome], total_steps: in
     return {
         "requests": len(outcomes),
         "serviced": len(serviced),
-        "stale": len(outcomes) - len(serviced),
-        "noop": sum(1 for o in serviced if o.action == "noop"),
+        "stale": sum(1 for o in outcomes if o.action == STALE),
+        "rejected": sum(1 for o in outcomes if o.action == REJECTED),
+        "noop": sum(1 for o in serviced if o.action == NOOP),
         "recompute_rate": recomputes / len(serviced) if serviced else 0.0,
         "mean_retrained_iterations": total_retrained / len(serviced) if serviced else 0.0,
         "max_retrained_iterations": max(retrained) if retrained else 0,

@@ -41,7 +41,7 @@ from .data import (
     remove_target,
 )
 from .engine import run_fats
-from .errors import FedUnlabError
+from .errors import FedUnlabError, InvalidArgumentError
 from .fileio import atomic_open
 from .losses import make_loss
 from .stability import (
@@ -166,13 +166,15 @@ def cmd_unlearn(args: argparse.Namespace) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    dataset, store, hyper, loss = _load_inputs(args)
     requests = []
     with open(args.requests, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if line and not line.startswith("#"):
                 requests.append(parse_request_line(line))
+    if not requests:
+        raise InvalidArgumentError(f"{args.requests} holds no requests")
+    dataset, store, hyper, loss = _load_inputs(args)
     outcomes, dataset = process_stream(requests, store, dataset, hyper, loss)
     for outcome in outcomes:
         _print_outcome(outcome)

@@ -342,6 +342,8 @@ class UnlearnRequest:
             raise InvalidArgumentError(f"unknown request kind {self.kind!r}")
         if self.kind == "sample" and self.target_uid is None:
             raise InvalidArgumentError("sample request needs a target_uid")
+        if self.kind == "client" and self.target_uid is not None:
+            raise InvalidArgumentError("client request takes no target_uid")
         if self.issue_step < 1:
             raise InvalidArgumentError("issue_step must be >= 1")
 

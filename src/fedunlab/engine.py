@@ -36,7 +36,6 @@ change to Philox, its bounded draw or choice fails there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,7 +48,7 @@ from .errors import (
     ModeMismatchError,
 )
 from .losses import LossModel
-from .store import HistoryStore
+from .store import HistoryStore, Round
 from .streams import (
     DOMAIN_CLIENT_SAMPLING,
     DOMAIN_MINIBATCH,
@@ -62,19 +61,12 @@ from .streams import (
 )
 
 
-@dataclass(frozen=True)
-class ReplayPlan:
-    """Pinned sampling decisions consulted during re-computation.
-
-    Multisets are pinned per round, batches per (iteration, client).
-    Any decision not pinned is drawn fresh from the current dataset with
-    the store's current epoch in the stream key. Component-wise reuse is
-    what keeps re-computed runs distributionally identical to
-    retraining from scratch.
-    """
-
-    round_multisets: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    batches: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+# The sampling decisions a re-run keeps, as round -> Round with None for
+# each batch that is redrawn. A round the plan leaves out is drawn whole;
+# everything drawn is drawn from the current dataset with the store's
+# current epoch in the stream key. Component-wise reuse is what keeps
+# re-computed runs distributionally identical to retraining from scratch.
+ReplayPlan = dict[int, Round]
 
 
 def sample_client_multiset(
@@ -185,8 +177,7 @@ class _Sampler:
         self._count = hyper.clients_per_round
         self._batch_size = hyper.batch_size
         self._steps = hyper.local_steps
-        self._pinned_multisets = plan.round_multisets
-        self._pinned_batches = plan.batches
+        self._plan = plan
         # the (seed, domain, epoch) part of every key, folded once
         self._multiset_key = stream_key(hyper.seed, DOMAIN_CLIENT_SAMPLING, epoch)
         self._batch_key = stream_key(hyper.seed, DOMAIN_MINIBATCH, epoch)
@@ -197,7 +188,8 @@ class _Sampler:
     ) -> tuple[dict[int, tuple[int, ...]], dict[tuple[int, int], tuple[int, ...]]]:
         """The multisets of rounds first_round..stop_round - 1, in round
         order, and the batches of their iterations by (iteration, client)."""
-        multisets = {r: self._pinned_multisets.get(r) for r in range(first_round, stop_round)}
+        plan = self._plan
+        multisets = {r: plan[r][0] if r in plan else None for r in range(first_round, stop_round)}
         fresh = [r for r, multiset in multisets.items() if multiset is None]
         if fresh and self._active and len(fresh) >= MIN_ARRAY_DECISIONS:
             lo, hi = fold_keys(self._multiset_key, np.array(fresh))
@@ -215,20 +207,23 @@ class _Sampler:
     def _draw_batches(
         self, multisets: dict[int, tuple[int, ...]]
     ) -> dict[tuple[int, int], tuple[int, ...]]:
-        pinned = self._pinned_batches
+        plan = self._plan
         dataset = self._dataset
         batch_size = self._batch_size
         steps = self._steps
         batches, fresh = {}, []
         for r, multiset in multisets.items():
+            pinned = dict(plan[r][1]) if r in plan else {}
+            start = (r - 1) * steps + 1
             for cid in set(multiset):
                 drawable = dataset.has_client(cid) and dataset.client(cid).size >= batch_size
-                for t in range((r - 1) * steps + 1, r * steps + 1):
-                    batch = pinned.get((t, cid))
+                pins = pinned.get(cid, ())
+                for step in range(steps):
+                    batch = pins[step] if step < len(pins) else None
                     if batch is not None:
-                        batches[t, cid] = batch
+                        batches[start + step, cid] = batch
                     elif drawable:
-                        fresh.append((t, cid))
+                        fresh.append((start + step, cid))
         if fresh and len(fresh) >= MIN_ARRAY_DECISIONS:
             times, client_ids = np.array(fresh).T
             values, objects, offsets, sizes = self._uid_table()
@@ -332,7 +327,7 @@ def run_fats(
     """
     check_start(start_iteration, hyper, store, loss)
     steps = hyper.local_steps
-    sampler = _Sampler(hyper, dataset, store.epoch, ReplayPlan() if replay is None else replay)
+    sampler = _Sampler(hyper, dataset, store.epoch, {} if replay is None else replay)
     first_round = store.round_of(start_iteration)
     stop_round = hyper.rounds + 1
     # a round holds one multiset and at most local_steps * K batches

@@ -1,14 +1,15 @@
 """Exact distribution lab over sampling histories, plus statistical
 equivalence harnesses.
 
-A sampling history is, per round, the drawn client multiset and, for
-every distinct selected client, its mini-batch uid sets for each local
-iteration. This module enumerates the exact rational distribution over
-histories for small configurations and checks distributional identities
-with zero tolerance. It holds no deletion rule of its own: the
-distribution after a deletion runs `unlearn.couple`, the function the
-engine's `unlearn_request` runs, on every enumerated history, for
-either store mode. The exact paths count in integers: every round
+A sampling history is a tuple of store.Round: per round, the drawn
+client multiset and, for every distinct selected client, its mini-batch
+uid sets for each local iteration, the form the store reads back and a
+replay plan pins. This module enumerates the exact rational
+distribution over histories for small configurations and checks
+distributional identities with zero tolerance. It holds no deletion
+rule of its own: the distribution after a deletion runs `unlearn.couple`,
+the function the engine's `unlearn_request` runs, on every enumerated
+history's rounds, for either store mode. The exact paths count in integers: every round
 outcome carries an integer weight over one per-round denominator,
 M^K * prod_c C(n_c, b)^E over the dataset's own clients, so a history's
 weight is an integer over a known denominator and a Fraction is built
@@ -28,18 +29,17 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from .data import FederatedDataset, HyperParams, UnlearnRequest, remove_target
-from .engine import ReplayPlan
 from .errors import (
     BinsTooFineError,
     InvalidArgumentError,
     TooLargeToEnumerateError,
 )
+from .store import Round
 from .streams import derive_trial_seeds
-from .unlearn import couple, round_start
+from .unlearn import couple
 
 ENUMERATION_BUDGET = 10**6
 
-Round = tuple[tuple[int, ...], tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]]
 History = tuple[Round, ...]
 
 
@@ -134,28 +134,32 @@ def _round_denominator(hyper: HyperParams, dataset: FederatedDataset) -> int:
 
 
 def _round_outcomes(
-    hyper: HyperParams, dataset: FederatedDataset, pins: tuple
+    hyper: HyperParams, dataset: FederatedDataset, pinned: Round | None
 ) -> list[tuple[Round, int]]:
     """All (round outcome, weight over `_round_denominator`) pairs for one
-    round. pins holds the round's multiset (None: drawn) and the batches
-    pinned by (local step, client); every other decision is drawn
-    uniformly from the dataset, so the outcomes of one multiset are
-    equally likely."""
-    multiset_pin, batch_pins = pins
-    pinned = dict(batch_pins)
+    round, drawn whole (pinned None) or from a replay plan's round: its
+    multiset and the batches that are not None are kept. Every other
+    decision is drawn uniformly from the dataset, so the outcomes of one
+    multiset are equally likely."""
     steps = hyper.local_steps
     ids = dataset.client_ids
     denominator = _round_denominator(hyper, dataset)
-    multisets = [(multiset_pin, denominator)] if multiset_pin is not None else [
-        (multiset, denominator // len(ids) ** len(multiset) * _orderings(multiset))
-        for multiset in itertools.combinations_with_replacement(ids, hyper.clients_per_round)
-    ]
+    if pinned is None:
+        pinned_batches: dict[int, tuple] = {}
+        multisets = [
+            (multiset, denominator // len(ids) ** len(multiset) * _orderings(multiset))
+            for multiset in itertools.combinations_with_replacement(ids, hyper.clients_per_round)
+        ]
+    else:
+        pinned_batches = dict(pinned[1])
+        multisets = [(pinned[0], denominator)]
     outcomes: list[tuple[Round, int]] = []
     for multiset, weight in multisets:
         distinct = sorted(set(multiset))
         slots = []
         for client_id, step in itertools.product(distinct, range(steps)):
-            batch = pinned.get((step, client_id))
+            pins = pinned_batches.get(client_id, ())
+            batch = pins[step] if step < len(pins) else None
             if batch is None:
                 uids = sorted(dataset.client(client_id).uids)
                 slots.append(list(itertools.combinations(uids, hyper.batch_size)))
@@ -200,46 +204,22 @@ def enumerate_history_distribution(
     on the given dataset: every round drawn with nothing pinned."""
     _check_budget(hyper, dataset)
     _check_feasible(hyper, dataset)
-    return _complete(hyper, dataset, {((None, ()),) * hyper.rounds: 1})
+    return _complete(hyper, dataset, {(None,) * hyper.rounds: 1})
 
 
-def _round_decisions(request: UnlearnRequest, r: int, outcome: Round, steps: int) -> tuple:
-    """What a store records of round r of a history, in the form
-    `unlearn.couple` reads it: the (round, multiset) pair, the
-    ((iteration, client), batch) records and the target's first use in
-    the round (None: unused); then the round's pins when a re-run keeps
-    it."""
+def _first_use(request: UnlearnRequest, r: int, outcome: Round, steps: int) -> int | None:
+    """The target's first use in round r of a history, as the store's
+    index would report it (None: unused)."""
     multiset, body = outcome
     base = (r - 1) * steps
-    records = [
-        ((base + step, client_id), batch)
-        for client_id, batches in body
+    if request.kind == "client":
+        return base + 1 if request.target_client in multiset else None
+    return min((
+        base + step
+        for _, batches in body
         for step, batch in enumerate(batches, start=1)
-    ]
-    if request.kind == "sample":
-        uses = [t for (t, _), batch in records if request.target_uid in batch]
-        first_use = min(uses, default=None)
-    else:
-        first_use = base + 1 if request.target_client in multiset else None
-    pins = (multiset, tuple(
-        ((step, client_id), batches[step]) for step in range(steps) for client_id, batches in body
-    ))
-    return (r, multiset), records, first_use, pins
-
-
-def _pins(kept_pins: tuple, kept: int, plan: ReplayPlan, steps: int) -> tuple:
-    """Per-round pins of a re-run that keeps the first `kept` rounds (each
-    round's pins when kept are in kept_pins) and, after them, only what
-    the plan pins."""
-    if not (plan.batches or plan.round_multisets):
-        return kept_pins[:kept] + ((None, ()),) * (len(kept_pins) - kept)
-    planned: list[list] = [[] for _ in kept_pins]
-    for (t, client_id), batch in plan.batches.items():
-        planned[(t - 1) // steps].append((((t - 1) % steps, client_id), batch))
-    return kept_pins[:kept] + tuple(
-        (plan.round_multisets.get(r), tuple(sorted(planned[r - 1])))
-        for r in range(kept + 1, len(kept_pins) + 1)
-    )
+        if request.target_uid in batch
+    ), default=None)
 
 
 def unlearned_history_distributions(
@@ -253,36 +233,35 @@ def unlearned_history_distributions(
     of the given modes.
 
     The deletion rule is the engine's own: `unlearn.couple` runs on every
-    enumerated history, fed the first use the store's index would
-    report. The rounds before the one holding the start it returns, plus
-    its replay plan, are pinned, exactly what the engine keeps;
-    histories with equal pins are grouped and each group is completed
-    once over the reduced dataset. Training pins nothing, so the original
-    histories are the product of one round's outcomes; they and what the
-    store would record of each are derived once for all modes. A request
-    whose reduced dataset cannot supply a batch is refused before
-    anything is enumerated.
+    enumerated history, fed its rounds and the first use the store's
+    index would report. The rounds before the one holding the start it
+    returns, plus the rounds of its replay plan, are pinned, exactly what
+    the engine keeps; histories with equal pins are grouped and each
+    group is completed once over the reduced dataset. Training pins
+    nothing, so the original histories are the product of one round's
+    outcomes; they and each round's first use are derived once for all
+    modes. A request whose reduced dataset cannot supply a batch is
+    refused before anything is enumerated.
     """
     _check_budget(hyper, dataset)
     reduced = remove_target(dataset, request)
     _check_feasible(hyper, reduced)
     _check_feasible(hyper, dataset)
-    steps = hyper.local_steps
-    outcomes = _round_outcomes(hyper, dataset, (None, ()))
+    steps, total = hyper.local_steps, hyper.rounds
+    outcomes = _round_outcomes(hyper, dataset, None)
     per_round = [
-        [(weight, *_round_decisions(request, r, outcome, steps)) for outcome, weight in outcomes]
-        for r in range(1, hyper.rounds + 1)
+        [(weight, outcome, _first_use(request, r, outcome, steps)) for outcome, weight in outcomes]
+        for r in range(1, total + 1)
     ]
     groups: dict[str, dict[tuple, int]] = {mode: {} for mode in modes}
     for history in itertools.product(*per_round):
-        weights, multisets, round_records, uses, kept_pins = zip(*history)
+        weights, rounds, uses = zip(*history)
         weight = math.prod(weights)
-        records = [record for part in round_records for record in part]
         first_use = next((use for use in uses if use is not None), None)
         for mode, mode_groups in groups.items():
-            start, plan = couple(request, mode, first_use, multisets, records, steps)
-            kept = hyper.rounds if start is None else (round_start(start, steps) - 1) // steps
-            pins = _pins(kept_pins, kept, plan, steps)
+            start, plan = couple(request, mode, first_use, enumerate(rounds, start=1), steps)
+            kept = total if start is None else (start - 1) // steps
+            pins = rounds[:kept] + tuple(map(plan.get, range(kept + 1, total + 1)))
             mode_groups[pins] = mode_groups.get(pins, 0) + weight
     return {mode: _complete(hyper, reduced, mode_groups) for mode, mode_groups in groups.items()}
 

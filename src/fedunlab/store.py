@@ -9,6 +9,12 @@ so a prune is a slice. A compact store keeps only the initial and the
 latest model and the client index below; its deletions retrain from
 iteration 1.
 
+The history is read back one Round at a time through rounds(): the
+multiset and every distinct client's batch at each local step, the form
+the deletion rule (`unlearn.couple`), the engine's replay plan and the
+exact certifier share. history_tuple() is that view with each batch
+sorted.
+
 Two dictionaries make deletion verification a single probe: client ->
 earliest round in which the client was selected (both modes), and, in
 full_history mode, uid -> earliest iteration whose recorded batch
@@ -26,6 +32,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -49,6 +56,11 @@ _CKPT_ARRAYS = (
     "batch_sizes", "batch_uids", "eround_clients", "eround_rounds", "globals",
 )
 _INT32 = np.iinfo(np.int32)
+
+# One round of a sampling history: the client multiset and, for each
+# distinct selected client in ascending order, its batch at each local
+# step. A replay plan's round holds None for each batch that is redrawn.
+Round = tuple[tuple[int, ...], tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]]
 
 
 class HistoryStore:
@@ -155,24 +167,24 @@ class HistoryStore:
     # ------------------------------------------------------------------
     # lookups
 
-    def decisions(self, since: int):
-        """The recorded sampling decisions at or after iteration since:
-        (round, multiset) pairs for the rounds that start there or later
-        and ((iteration, client), batch) pairs, both in recording order
-        and read lazily, so a caller pays only for the suffix it reads.
-        Both are empty in compact mode."""
-        if self.mode != FULL_HISTORY:
-            return (), ()
-        first_round = self._rounds_before(since) + 1
-        multisets = (
-            (r, self._multisets[r - 1]) for r in range(first_round, len(self._multisets) + 1)
-        )
-        records = (
-            ((t, client_id), batch)
-            for t in range(since, len(self._batches) + 1)
-            for client_id, batch in self._batches[t - 1].items()
-        )
-        return multisets, records
+    def rounds(self, first: int = 1) -> Iterator[tuple[int, Round]]:
+        """(r, round) for each recorded round from round first on, built
+        lazily with every batch as it was recorded, so a caller pays only
+        for the rounds it reads. A client's batches stop at the first
+        local step without its record. Empty in compact mode."""
+        steps = self.local_steps
+        for r in range(max(first, 1), len(self._multisets) + 1):
+            multiset = self._multisets[r - 1]
+            iterations = self._batches[(r - 1) * steps:r * steps]
+            body = []
+            for client_id in sorted(set(multiset)):
+                batches = []
+                for records in iterations:
+                    if client_id not in records:
+                        break
+                    batches.append(records[client_id])
+                body.append((client_id, tuple(batches)))
+            yield r, (multiset, tuple(body))
 
     def global_model(self, round_index: int) -> np.ndarray | None:
         if self.mode == COMPACT and round_index > 0:
@@ -255,26 +267,19 @@ class HistoryStore:
     # ------------------------------------------------------------------
     # canonical views
 
-    def history_tuple(self) -> tuple:
-        """Canonical nested tuple of the sampling history: per round,
-        (multiset, ((client, (batch at each local step, uids sorted)), ...)).
-        Models are excluded; they are a deterministic map of this."""
+    def history_tuple(self) -> tuple[Round, ...]:
+        """The canonical sampling history: rounds() of the whole history
+        with the uids of each batch sorted. Models are excluded; they are
+        a deterministic map of this."""
         if self.mode != FULL_HISTORY:
             raise ModeMismatchError("history_tuple needs full_history mode")
-        rounds = []
-        for round_index, multiset in enumerate(self._multisets, start=1):
-            start = self.round_start_iteration(round_index) - 1
-            steps = self._batches[start:start + self.local_steps]
-            per_client = []
-            for client_id in sorted(set(multiset)):
-                batches = []
-                for step in steps:
-                    if client_id not in step:
-                        break
-                    batches.append(tuple(sorted(step[client_id])))
-                per_client.append((client_id, tuple(batches)))
-            rounds.append((multiset, tuple(per_client)))
-        return tuple(rounds)
+        return tuple(
+            (multiset, tuple(
+                (client_id, tuple(tuple(sorted(batch)) for batch in batches))
+                for client_id, batches in body
+            ))
+            for _, (multiset, body) in self.rounds()
+        )
 
     def storage_word_count(self) -> int:
         """Word-count storage model: every stored integer, flag, or float

@@ -2,12 +2,15 @@
 
 `unlearn_request` is the one entry point for both request kinds and
 both store modes. `couple` is the one deletion rule: from the target's
-first recorded use it picks the iteration re-computation starts at and
-the recorded decisions the re-run keeps. The store keeps no local
-models, so the re-run starts at that iteration's `round_start`; every
-earlier round is kept and every decision the plan does not pin is
-redrawn from the reduced dataset under a fresh stream epoch. The exact
-certifier (`stability.unlearned_history_distribution`) runs both as well.
+first recorded use and the recorded rounds, in the Round form that
+`HistoryStore.rounds` yields, it picks the iteration re-computation
+starts at and the replay plan, the rounds the re-run keeps with None
+for each batch it redraws. The store keeps no local models, so the
+re-run starts at the start of that iteration's round; every earlier
+round is kept and every decision the plan does not pin is redrawn from
+the reduced dataset under a fresh stream epoch. The exact certifier
+(`stability.unlearned_history_distributions`) runs `couple` on every
+enumerated history, fed the same Round form.
 
 Sample deletion on a full-history store verifies involvement with one
 index probe; an unused sample is a no-op. Otherwise re-computation
@@ -57,7 +60,7 @@ from .data import (
 from .engine import ReplayPlan, check_start, run_fats
 from .errors import EmptyFederationError, InvalidArgumentError, NotFoundError
 from .losses import LossModel
-from .store import HistoryStore
+from .store import HistoryStore, Round
 
 NOOP = "noop"
 PARTIAL_RETRAIN = "partial_retrain"
@@ -65,8 +68,7 @@ FULL_RETRAIN = "full_retrain"
 STALE = "stale"
 REJECTED = "rejected"
 
-Multisets = Iterable[tuple[int, tuple[int, ...]]]  # (round, multiset)
-Records = Iterable[tuple[tuple[int, int], tuple[int, ...]]]  # ((iteration, client), batch)
+Rounds = Iterable[tuple[int, Round]]  # (round, Round), as HistoryStore.rounds yields them
 
 
 @dataclass(frozen=True)
@@ -120,46 +122,42 @@ def _outcome(
     )
 
 
-def round_start(iteration: int, local_steps: int) -> int:
-    """The first iteration of the round holding iteration."""
-    return (iteration - 1) // local_steps * local_steps + 1
-
-
 def build_sample_replay_plan(
-    request: UnlearnRequest, start: int, multisets: Multisets, records: Records, local_steps: int
+    request: UnlearnRequest, first_round: int, rounds: Rounds
 ) -> ReplayPlan:
-    """Pin every recorded decision at or after start except the target
-    client's batches that contained the deleted uid."""
+    """Pin every recorded round from first_round on, less the target
+    client's batches that contained the deleted uid. A round that did
+    not select the target client is pinned as it was recorded."""
     client_id, uid = request.target_client, request.target_uid
-    return ReplayPlan(
-        round_multisets={r: m for r, m in multisets if (r - 1) * local_steps >= start - 1},
-        batches={
-            key: batch
-            for key, batch in records
-            if key[0] >= start and not (key[1] == client_id and uid in batch)
-        },
-    )
+    plan: ReplayPlan = {}
+    for r, recorded in rounds:
+        if r >= first_round:
+            multiset, body = recorded
+            if client_id in multiset:
+                recorded = multiset, tuple(
+                    (c, tuple(None if c == client_id and uid in b else b for b in batches))
+                    for c, batches in body
+                )
+            plan[r] = recorded
+    return plan
 
 
 def couple(
-    request: UnlearnRequest, mode: str, first_use: int | None,
-    multisets: Multisets, records: Records, local_steps: int,
+    request: UnlearnRequest, mode: str, first_use: int | None, rounds: Rounds, local_steps: int
 ) -> tuple[int | None, ReplayPlan]:
     """The deletion rule for both request kinds and both store modes.
 
     first_use is the target's earliest recorded use (None when it was
-    never used or the store cannot tell); multisets and records are the
-    recorded (round, multiset) and ((iteration, client), batch) pairs,
-    all of them or only those from first_use's round start on. Returns
-    the iteration re-computation starts at (None: keep the history as
-    it is) and the decisions from its round start on that the re-run
-    keeps."""
+    never used or the store cannot tell); rounds are the recorded
+    (round, Round) pairs, all of them or only those from first_use's
+    round on. Returns the iteration re-computation starts at (None: keep
+    the history as it is) and the plan of what the re-run keeps from
+    that iteration's round on."""
     if mode != FULL_HISTORY:
-        return (1 if request.kind == "sample" or first_use is not None else None), ReplayPlan()
+        return (1 if request.kind == "sample" or first_use is not None else None), {}
     if request.kind == "client" or first_use is None:
-        return first_use, ReplayPlan()
-    since = round_start(first_use, local_steps)
-    return first_use, build_sample_replay_plan(request, since, multisets, records, local_steps)
+        return first_use, {}
+    return first_use, build_sample_replay_plan(request, (first_use - 1) // local_steps + 1, rounds)
 
 
 def unlearn_request(
@@ -201,15 +199,14 @@ def unlearn_request(
     else:
         first_use = store.earliest_client_use(client_id)
     probes = store.probes - probes_before
-    steps = store.local_steps
     # Read lazily: only a full-history sample deletion consumes them.
-    multisets, records = store.decisions(round_start(first_use or 1, steps))
-    from_iteration, plan = couple(request, store.mode, first_use, multisets, records, steps)
+    rounds = store.rounds(store.round_of(first_use or 1))
+    from_iteration, plan = couple(request, store.mode, first_use, rounds, store.local_steps)
     if from_iteration is None:
         final = store.latest_global_model()
         return _outcome(request, NOOP, None, hyper, reduced, start_time, probes, final), reduced
 
-    restart = round_start(from_iteration, steps)
+    restart = store.round_start_iteration(store.round_of(from_iteration))
     check_start(restart, hyper, store, loss)
     store.prune_after(restart)
     final = run_fats(restart, hyper, reduced, store, loss, replay=plan)

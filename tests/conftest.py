@@ -28,3 +28,16 @@ def micro_hyper(seed: int = 0, storage_mode: str = FULL_HISTORY) -> HyperParams:
 @pytest.fixture
 def micro_hyperparams():
     return micro_hyper()
+
+
+def recorded(store):
+    """A full-history store's multisets by round and batches by
+    (iteration, client), read through HistoryStore.rounds."""
+    multisets, batches = {}, {}
+    for r, (multiset, body) in store.rounds():
+        multisets[r] = multiset
+        start = store.round_start_iteration(r)
+        for client_id, client_batches in body:
+            for t, batch in enumerate(client_batches, start=start):
+                batches[t, client_id] = batch
+    return multisets, batches

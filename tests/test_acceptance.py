@@ -23,7 +23,7 @@ from fedunlab.data import (
     remove_client,
     remove_sample,
 )
-from fedunlab.engine import ReplayPlan, run_fats
+from fedunlab.engine import run_fats
 from fedunlab.losses import global_grad, make_loss
 from fedunlab.stability import (
     enumerate_history_distribution,
@@ -36,7 +36,7 @@ from fedunlab.store import HistoryStore
 from fedunlab.streams import derive_trial_seeds
 from fedunlab.unlearn import PARTIAL_RETRAIN, unlearn_request
 
-from conftest import micro_hyper
+from conftest import micro_hyper, recorded
 
 
 def _report(number, name, passed, detail):
@@ -574,8 +574,8 @@ def test_criterion_7_determinism_and_prefix_preservation():
     request = UnlearnRequest(kind="sample", target_client=cid,
                              target_uid=uid, issue_step=8)
     _, reduced = unlearn_request(request, store, dataset, hyper, loss)
-    before = dict(reference.decisions(1)[1])
-    after = dict(store.decisions(1)[1])
+    before = recorded(reference)[1]
+    after = recorded(store)[1]
     prefix = {key: batch for key, batch in before.items() if key[0] < first_use}
     prefix_records = len(prefix)
     prefix_ok = all(after.get(key) == batch for key, batch in prefix.items()) and all(
@@ -585,7 +585,7 @@ def test_criterion_7_determinism_and_prefix_preservation():
     # The re-run recomputed the local models of its first round from the
     # round's start; replaying the whole new history from theta0 must
     # give the same global models bit for bit.
-    plan = ReplayPlan(dict(store.decisions(1)[0]), after)
+    plan = dict(store.rounds())
     replayed = HistoryStore(FULL_HISTORY, 2)
     run_fats(1, hyper, reduced, replayed, loss, replay=plan)
     recomputed_ok = all(

@@ -32,11 +32,17 @@ from fedunlab.data import (
     generate_synthetic,
     import_dataset,
 )
-from fedunlab.engine import ReplayPlan
 from fedunlab.errors import InvalidArgumentError
 from fedunlab.losses import make_loss
 from fedunlab.store import load_checkpoint
-from fedunlab.unlearn import NOOP, PARTIAL_RETRAIN, UnlearnOutcome, unlearn_request
+from fedunlab.unlearn import (
+    NOOP,
+    PARTIAL_RETRAIN,
+    REJECTED,
+    UnlearnOutcome,
+    parse_request_line,
+    unlearn_request,
+)
 
 
 def _config_dict(output_dir, **overrides):
@@ -323,6 +329,19 @@ def test_unlearning_efficiency_report_oracle():
     assert report["speedup_vs_full_retrain"] == pytest.approx(30 / 10)
 
 
+def test_unlearning_efficiency_report_leaves_rejected_out():
+    """A rejected request changes nothing, so it is not serviced and adds
+    no full retrain to the baseline of the claimed speed-up."""
+    recompute = _outcome(PARTIAL_RETRAIN, 4)
+    alone = unlearning_efficiency_report([recompute], total_steps=10)
+    report = unlearning_efficiency_report([recompute, _outcome(REJECTED, 0)], total_steps=10)
+    assert alone["speedup_vs_full_retrain"] == pytest.approx(2.5)
+    assert report["speedup_vs_full_retrain"] == pytest.approx(2.5)
+    assert (report["requests"], report["serviced"], report["rejected"]) == (2, 1, 1)
+    assert (report["stale"], report["noop"], report["recompute_rate"]) == (0, 0, 1.0)
+    assert report["mean_retrained_iterations"] == pytest.approx(4.0)
+
+
 def test_unlearning_efficiency_report_no_recompute():
     report = unlearning_efficiency_report([_outcome(NOOP, 0)], total_steps=10)
     assert report["recompute_rate"] == 0.0
@@ -512,12 +531,12 @@ def test_cli_verify_fails_when_only_compact_is_wrong(monkeypatch, capsys):
     only for a compact store fails that line and the exit code."""
     shipped = stability.couple
 
-    def keep_unused_on_compact(request, mode, first_use, multisets, records, local_steps):
+    def keep_unused_on_compact(request, mode, first_use, rounds, local_steps):
         # Conditions on non-involvement: keeps the history when the
         # point was never used.
         if mode == COMPACT and request.kind == "sample" and first_use is None:
-            return None, ReplayPlan()
-        return shipped(request, mode, first_use, multisets, records, local_steps)
+            return None, {}
+        return shipped(request, mode, first_use, rounds, local_steps)
 
     monkeypatch.setattr(stability, "couple", keep_unused_on_compact)
     assert cli_main(["verify", "--kind", "sample"]) == 1
@@ -568,6 +587,63 @@ def test_cli_stream_malformed_request_exits_2(tmp_path, capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "sample,x,1,4" in err
+
+
+def _trained_checkpoint(tmp_path):
+    """The data and checkpoint files of a small trained run."""
+    data = str(tmp_path / "data.txt")
+    ckpt = str(tmp_path / "ckpt.bin")
+    assert cli_main([
+        "gen-data", "--num-clients", "3", "--samples-per-client", "4",
+        "--dim", "2", "--seed", "5", "--out", data,
+    ]) == 0
+    assert cli_main([
+        "train", "--data", data, "--total-steps", "8", "--local-steps", "2",
+        "--rho-sample", "0.5", "--rho-client", "0.5", "--lr", "0.05", "--out", ckpt,
+    ]) == 0
+    return data, ckpt
+
+
+@pytest.mark.parametrize("text", ["", "# no requests\n\n  \n"], ids=["empty", "comments"])
+def test_cli_stream_refuses_a_file_without_requests(tmp_path, capsys, text):
+    """A request file with no request exits 2 before anything is
+    serviced or written."""
+    data, ckpt = _trained_checkpoint(tmp_path)
+    requests = tmp_path / "requests.txt"
+    requests.write_text(text)
+    out, data_out = tmp_path / "out.bin", tmp_path / "out.txt"
+    capsys.readouterr()
+    assert cli_main([
+        "stream", "--data", data, "--checkpoint", ckpt, "--requests", str(requests),
+        "--out", str(out), "--data-out", str(data_out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "holds no requests" in captured.err
+    assert not out.exists() and not data_out.exists()
+
+
+def test_client_request_refuses_a_uid(tmp_path, capsys):
+    """A client request names no point: a uid on one is refused, whether
+    it is built directly, parsed from a request line, read from a config
+    entry or given to `fedunlab unlearn`."""
+    with pytest.raises(InvalidArgumentError, match="client request takes no target_uid"):
+        UnlearnRequest(kind="client", target_client=0, target_uid=5, issue_step=3)
+    with pytest.raises(InvalidArgumentError, match="client request takes no target_uid"):
+        parse_request_line("client,0,5,3")
+    raw = _config_dict(str(tmp_path / "run"), requests=[{"kind": "client", "client": 0, "uid": 5}])
+    with pytest.raises(InvalidArgumentError, match="client request takes no target_uid"):
+        ExperimentConfig.from_dict(raw)
+    data, ckpt = _trained_checkpoint(tmp_path)
+    out = tmp_path / "out.bin"
+    capsys.readouterr()
+    assert cli_main([
+        "unlearn", "--data", data, "--checkpoint", ckpt, "--kind", "client",
+        "--client", "0", "--uid", "5", "--out", str(out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "client request takes no target_uid" in captured.err
+    assert not out.exists()
 
 
 def _first_point_line(text):

@@ -18,7 +18,6 @@ from fedunlab.data import (
     generate_synthetic,
 )
 from fedunlab.engine import (
-    ReplayPlan,
     aggregate,
     run_fats,
     sample_client_multiset,
@@ -34,7 +33,7 @@ from fedunlab.store import HistoryStore
 from fedunlab.streams import DOMAIN_MINIBATCH, substream
 from fedunlab.unlearn import unlearn_request
 
-from conftest import micro_hyper
+from conftest import micro_hyper, recorded
 
 
 def _hyper(**overrides):
@@ -140,8 +139,8 @@ def test_run_fats_forced_trajectory_matches_hand_sgd():
     for _ in range(3):
         theta = theta - 0.1 * (2.0 * theta - 1.0) * 2.0
     assert final[0] == pytest.approx(theta, rel=1e-15)
-    assert dict(store.decisions(1)[0])[2] == (0,)
-    assert dict(store.decisions(1)[1])[(2, 0)] == (0,)
+    assert recorded(store)[0][2] == (0,)
+    assert recorded(store)[1][(2, 0)] == (0,)
 
 
 # ----------------------------------------------------------------------
@@ -239,10 +238,7 @@ def test_replay_plan_pins_decisions(small_dataset):
     loss = make_loss("quadratic", 2)
     store = HistoryStore(FULL_HISTORY, hyper.local_steps)
     run_fats(1, hyper, small_dataset, store, loss)
-    plan = ReplayPlan()
-    plan.round_multisets.update(store.decisions(1)[0])
-    for (t, cid), batch in store.decisions(1)[1]:
-        plan.batches[(t, cid)] = batch
+    plan = dict(store.rounds())
     replayed = HistoryStore(FULL_HISTORY, hyper.local_steps)
     # different seed and epoch cannot matter: every decision is pinned
     replayed.epoch = 5

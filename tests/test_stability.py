@@ -18,7 +18,6 @@ from fedunlab.data import (
     remove_sample,
     remove_target,
 )
-from fedunlab.engine import ReplayPlan
 from fedunlab.errors import BinsTooFineError, InvalidArgumentError, TooLargeToEnumerateError
 from fedunlab.stability import (
     HistoryDistribution,
@@ -33,7 +32,8 @@ from fedunlab.stability import (
     unlearned_history_distributions,
 )
 from fedunlab.streams import substream
-from fedunlab.unlearn import build_sample_replay_plan
+from fedunlab.store import HistoryStore
+from fedunlab.unlearn import build_sample_replay_plan, couple
 
 from conftest import micro_hyper
 
@@ -169,20 +169,22 @@ def test_coupling_exact_across_configs(
     assert tv_distance(unlearned, retrain) == 0
 
 
-def _never_recompute(request, mode, first_use, multisets, records, local_steps):
-    return None, ReplayPlan()
+def _never_recompute(request, mode, first_use, rounds, local_steps):
+    return None, {}
 
 
-def _redraw_whole_suffix(request, mode, first_use, multisets, records, local_steps):
-    return first_use, ReplayPlan()
+def _redraw_whole_suffix(request, mode, first_use, rounds, local_steps):
+    return first_use, {}
 
 
-def _plan_from_first_use(request, mode, first_use, multisets, records, local_steps):
+def _plan_from_first_use(request, mode, first_use, rounds, local_steps):
     """A sample plan anchored at the first use, not at its round's start:
-    the round the re-run restarts in gets a fresh multiset."""
+    the round the re-run restarts in is left out of the plan, so it gets
+    a fresh multiset, unless first_use starts it."""
     if first_use is None:
-        return None, ReplayPlan()
-    return first_use, build_sample_replay_plan(request, first_use, multisets, records, local_steps)
+        return None, {}
+    first_round = -(-(first_use - 1) // local_steps) + 1
+    return first_use, build_sample_replay_plan(request, first_round, rounds)
 
 
 @pytest.mark.parametrize(
@@ -292,6 +294,69 @@ def test_both_modes_match_per_mode_calls_on_unequal_clients(kind):
         alone = unlearned_history_distribution(_hyper(*config, storage_mode=mode), dataset, request)
         assert both[mode].as_dict() == alone.as_dict()
         assert tv_distance(both[mode], retrain) == 0
+
+
+def _store_of(history, local_steps):
+    """A full-history store given history through record_*."""
+    store = HistoryStore(FULL_HISTORY, local_steps)
+    for r, (multiset, body) in enumerate(history, start=1):
+        store.record_round_start(r, multiset)
+        start = store.round_start_iteration(r)
+        for step in range(local_steps):
+            for client_id, batches in body:
+                store.record_iteration(start + step, client_id, batches[step])
+    return store
+
+
+def _scanned_first_use(request, history, local_steps):
+    """The certifier's first use of the request's target in history."""
+    uses = (stability._first_use(request, r, round_, local_steps)
+            for r, round_ in enumerate(history, start=1))
+    return next((use for use in uses if use is not None), None)
+
+
+def _probe(store, request):
+    if request.kind == "sample":
+        return store.earliest_sample_use(request.target_uid)
+    return store.earliest_client_use(request.target_client)
+
+
+@pytest.mark.parametrize("config", [(2, 3, 3, 1, 1, 1), (2, 3, 4, 2, 1, 1), (3, 3, 2, 1, 2, 1)])
+@pytest.mark.parametrize("kind", ["sample", "client"])
+def test_store_agrees_with_certifier_on_every_history(kind, config):
+    """The store path and the certifier feed couple the same rounds: for
+    every enumerated history, a store recorded through record_* reads
+    the history back, its index probe finds the certifier's first use,
+    couple plans alike from the store's suffix and the whole history,
+    and the prune keeps exactly the rounds the certifier keeps, with
+    every index entry as a scan of them finds it."""
+    dataset = _dataset(*config[:2])
+    hyper = _hyper(*config)
+    steps = hyper.local_steps
+    cid = dataset.client_ids[-1]
+    uid = dataset.client(cid).uids[0] if kind == "sample" else None
+    request = UnlearnRequest(kind=kind, target_client=cid, target_uid=uid,
+                             issue_step=hyper.total_steps)
+    targets = [UnlearnRequest("client", c.client_id, None, 1) for c in dataset.clients] + [
+        UnlearnRequest("sample", c.client_id, u, 1) for c in dataset.clients for u in c.uids
+    ]
+    histories = enumerate_history_distribution(hyper, dataset).support
+    for history in histories:
+        store = _store_of(history, steps)
+        assert tuple(r for _, r in store.rounds()) == history
+        first_use = _scanned_first_use(request, history, steps)
+        assert _probe(store, request) == first_use, history
+        for mode in (FULL_HISTORY, COMPACT):
+            suffix = store.rounds(store.round_of(first_use or 1))
+            assert couple(request, mode, first_use, suffix, steps) == couple(
+                request, mode, first_use, enumerate(history, start=1), steps), history
+        start, _ = couple(request, FULL_HISTORY, first_use, store.rounds(), steps)
+        kept = hyper.rounds if start is None else (start - 1) // steps
+        store.prune_after(store.round_start_iteration(kept + 1))
+        assert tuple(r for _, r in store.rounds()) == history[:kept], history
+        for target in targets:
+            assert _probe(store, target) == _scanned_first_use(target, history[:kept], steps)
+    assert len(histories) > 100
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fedunlab.losses import make_loss
 from fedunlab.store import HistoryStore, load_checkpoint, save_checkpoint
 from fedunlab.unlearn import process_stream
 
-from conftest import micro_hyper
+from conftest import micro_hyper, recorded
 
 
 def _filled_store(local_steps=2):
@@ -58,8 +58,8 @@ def test_round_arithmetic():
 
 def test_recording_and_lookup():
     store = _filled_store()
-    assert dict(store.decisions(1)[0]) == {1: (0, 1), 2: (1, 1)}
-    assert dict(store.decisions(1)[1])[(2, 0)] == (4, 5)
+    assert recorded(store)[0] == {1: (0, 1), 2: (1, 1)}
+    assert recorded(store)[1][(2, 0)] == (4, 5)
     np.testing.assert_array_equal(store.global_model(1), [0.4, 0.5])
     np.testing.assert_array_equal(store.latest_global_model(), [1.2, 1.3])
     assert store.next_iteration == 5
@@ -71,16 +71,31 @@ def test_multiset_must_be_sorted():
         store.record_round_start(1, (2, 1))
 
 
-def test_decisions_since_yield_only_the_suffix():
+def test_rounds_from_first_yield_only_the_suffix():
     store = _filled_store()
-    multisets, records = store.decisions(1)
-    assert list(multisets) == [(1, (0, 1)), (2, (1, 1))]
-    assert [key for key, _ in records] == [(1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (4, 1)]
-    multisets, records = store.decisions(2)
-    assert list(multisets) == [(2, (1, 1))]
-    assert list(records) == [((2, 0), (4, 5)), ((2, 1), (9,)), ((3, 1), (8,)), ((4, 1), (7,))]
-    multisets, records = store.decisions(5)
-    assert list(multisets) == [] and list(records) == []
+    first = (1, ((0, 1), ((0, ((3, 5), (4, 5))), (1, ((8,), (9,))))))
+    second = (2, ((1, 1), ((1, ((8,), (7,))),)))
+    assert list(store.rounds()) == [first, second]
+    assert list(store.rounds(2)) == [second]
+    assert list(store.rounds(3)) == []
+    assert store.history_tuple() == tuple(r for _, r in store.rounds())
+
+
+def test_rounds_keep_batches_as_recorded():
+    """rounds() hands batches out in their recorded order, so a replay
+    records the same values; history_tuple() sorts them, and a client's
+    batches stop at its first step without a record."""
+    store = HistoryStore(FULL_HISTORY, 3)
+    store.record_round_start(1, (0, 2))
+    store.record_iteration(1, 0, (5, 3))
+    store.record_iteration(1, 2, (9, 7))
+    store.record_iteration(2, 0, (4, 1))
+    assert list(store.rounds()) == [(1, ((0, 2), ((0, ((5, 3), (4, 1))), (2, ((9, 7),)))))]
+    assert store.history_tuple() == (((0, 2), ((0, ((3, 5), (1, 4))), (2, ((7, 9),)))),)
+    compact = HistoryStore(COMPACT, 1)
+    compact.record_round_start(1, (0,))
+    compact.record_iteration(1, 0, (1,))
+    assert list(compact.rounds()) == []
 
 
 def test_round_start_gap_rejected():
@@ -162,8 +177,8 @@ def test_discard_from_keeps_epoch_prune_bumps_it():
     assert clone.discard_from(3)
     assert clone.epoch == epoch
     assert clone.next_iteration == 3
-    assert dict(clone.decisions(1)[0]) == {1: (0, 1)}
-    kept = dict(clone.decisions(1)[1])
+    assert recorded(clone)[0] == {1: (0, 1)}
+    kept = recorded(clone)[1]
     assert (3, 1) not in kept
     assert (2, 0) in kept
 
@@ -218,16 +233,14 @@ def _rerecorded_prefix(store, cut):
     fresh = HistoryStore(FULL_HISTORY, steps)
     fresh.loss_name = store.loss_name
     fresh.record_global(0, store.global_model(0))
-    multisets, records = store.decisions(1)
-    records = list(records)
-    for r, multiset in multisets:
+    for r, (multiset, body) in store.rounds():
         start = store.round_start_iteration(r)
         if start >= cut:
             break
         fresh.record_round_start(r, multiset)
-        for (t, client_id), batch in records:
-            if start <= t < min(start + steps, cut):
-                fresh.record_iteration(t, client_id, batch)
+        for t in range(start, min(start + steps, cut)):
+            for client_id, batches in body:
+                fresh.record_iteration(t, client_id, batches[t - start])
         if r * steps < cut:
             fresh.record_global(r, store.global_model(r))
     return fresh

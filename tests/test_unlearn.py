@@ -30,7 +30,7 @@ from fedunlab.unlearn import (
     unlearn_request,
 )
 
-from conftest import micro_hyper
+from conftest import micro_hyper, recorded
 
 
 def _setup(seed=0, mode=FULL_HISTORY, num_clients=4, samples=5, total_steps=8,
@@ -101,11 +101,11 @@ def test_unlearn_sample_removes_target_everywhere():
     assert outcome.probes == 1
     assert outcome.from_iteration is not None
     assert outcome.retrained_iterations == hyper.total_steps - outcome.from_iteration + 1
-    for (t, cid), batch in store.decisions(1)[1]:
+    for (t, cid), batch in recorded(store)[1].items():
         if cid == client_id:
             assert uid not in batch
     # every stored batch is drawable from the reduced federation
-    for (t, cid), batch in store.decisions(1)[1]:
+    for (t, cid), batch in recorded(store)[1].items():
         client = reduced.client(cid)
         assert set(batch) <= set(client.uids)
 
@@ -118,8 +118,8 @@ def test_unlearn_sample_preserves_prefix_and_uninvolved_batches():
     request = UnlearnRequest(kind="sample", target_client=client_id,
                              target_uid=uid, issue_step=hyper.total_steps)
     unlearn_request(request, store, dataset, hyper, loss)
-    before = dict(reference.decisions(1)[1])
-    after = dict(store.decisions(1)[1])
+    before = recorded(reference)[1]
+    after = recorded(store)[1]
     # records strictly before the first use are identical, and so are the
     # global models of the rounds that end before it
     assert {k: b for k, b in after.items() if k[0] < first_use} == {
@@ -128,7 +128,7 @@ def test_unlearn_sample_preserves_prefix_and_uninvolved_batches():
     for r in range(0, (first_use - 1) // hyper.local_steps + 1):
         assert np.array_equal(store.global_model(r), reference.global_model(r))
     # round multisets never change under sample deletion
-    assert dict(store.decisions(1)[0]) == dict(reference.decisions(1)[0])
+    assert recorded(store)[0] == recorded(reference)[0]
     # batches not containing the uid are reused verbatim at every t
     for key, batch in before.items():
         if key[1] == client_id and uid in batch:
@@ -178,7 +178,7 @@ def test_unlearn_sample_needs_full_history():
 
 def test_unlearn_client_prunes_from_first_selection():
     dataset, hyper, loss, store = _setup(seed=3)
-    client_id = dict(store.decisions(1)[0])[2][0]
+    client_id = recorded(store)[0][2][0]
     reference = copy.deepcopy(store)
     first_round = reference._earliest_round[client_id]
     request = UnlearnRequest(kind="client", target_client=client_id,
@@ -188,10 +188,10 @@ def test_unlearn_client_prunes_from_first_selection():
     assert outcome.from_iteration == (first_round - 1) * hyper.local_steps + 1
     assert not reduced.has_client(client_id)
     # the client appears nowhere afterward
-    multisets = dict(store.decisions(1)[0])
+    multisets = recorded(store)[0]
     for r in range(1, hyper.rounds + 1):
         assert client_id not in multisets[r]
-    for (t, cid), _ in store.decisions(1)[1]:
+    for t, cid in recorded(store)[1]:
         assert cid != client_id
     # prefix rounds before the first selection are bit-identical
     assert store.history_tuple()[:first_round - 1] == reference.history_tuple()[:first_round - 1]
@@ -201,11 +201,11 @@ def test_unlearn_client_prunes_from_first_selection():
 
 def test_unlearn_client_keeps_per_round_count():
     dataset, hyper, loss, store = _setup(seed=4)
-    client_id = dict(store.decisions(1)[0])[1][0]
+    client_id = recorded(store)[0][1][0]
     request = UnlearnRequest(kind="client", target_client=client_id,
                              target_uid=None, issue_step=hyper.total_steps)
     unlearn_request(request, store, dataset, hyper, loss)
-    multisets = dict(store.decisions(1)[0])
+    multisets = recorded(store)[0]
     for r in range(1, hyper.rounds + 1):
         assert len(multisets[r]) == hyper.clients_per_round
 
@@ -346,13 +346,12 @@ def test_deletion_needing_a_missing_global_model_leaves_store_untouched():
                                            local_steps=3)
     store = HistoryStore(FULL_HISTORY, hyper.local_steps)
     store.loss_name = trained.loss_name
-    multisets, records = trained.decisions(1)
-    records = list(records)
-    for round_index, multiset in multisets:
+    for round_index, (multiset, body) in trained.rounds():
         store.record_round_start(round_index, multiset)
-        for (t, client_id), batch in records:
-            if store.round_of(t) == round_index:
-                store.record_iteration(t, client_id, batch)
+        start = store.round_start_iteration(round_index)
+        for step in range(hyper.local_steps):
+            for client_id, batches in body:
+                store.record_iteration(start + step, client_id, batches[step])
     for round_index in range(3):
         store.record_global(round_index, trained.global_model(round_index))
     client_id, uid = next(
@@ -427,7 +426,7 @@ def test_process_stream_mixed_kinds():
     assert not reduced.has_client(other)
     assert all(o.action in (NOOP, PARTIAL_RETRAIN) for o in outcomes)
     # sampled multisets in the final history avoid the removed client
-    multisets = dict(store.decisions(1)[0])
+    multisets = recorded(store)[0]
     for r in range(1, hyper.rounds + 1):
         assert other not in multisets[r]
 
